@@ -145,7 +145,7 @@ def _record_from_config(config, seed):
     raise InvalidInput(f"unknown source {source!r}")
 
 
-def _detectors_from_config(config, record):
+def _detectors_from_config(config, signal_per_ns):
     det_cfg = dict(config.get("detectors", {}))
     ratio = config.get("noise_to_signal_ratio")
     target = config.get("target_g2_zero")
@@ -155,16 +155,15 @@ def _detectors_from_config(config, record):
         # invert g2 = (2x + x^2) / (1 + x)^2 for the noise/signal ratio x
         ratio = 1.0 / np.sqrt(1.0 - target) - 1.0
     if ratio is not None:
-        line = config.get("line_filter")
-        signal_per_ns = len(record.times(line)) / record.duration
         det_cfg["dark_rate"] = ratio * signal_per_ns * 1e9
     return hbt.DetectorPair(**det_cfg), ratio
 
 
 def cmd_hbt(config, out_dir, seed):
     record, model, drive = _record_from_config(config, seed)
-    detectors, noise_ratio = _detectors_from_config(config, record)
     line = config.get("line_filter")
+    signal_per_ns = record.times(line).size / record.duration
+    detectors, noise_ratio = _detectors_from_config(config, signal_per_ns)
     clicks_a, clicks_b = hbt.detect(
         record, detectors, seed + 1, line_filter_a=line, line_filter_b=line
     )
@@ -180,7 +179,6 @@ def cmd_hbt(config, out_dir, seed):
     hist.to_csv(os.path.join(out_dir, "histogram.csv"))
     outputs = ["histogram.csv"]
 
-    signal_per_ns = len(record.times(line)) / record.duration
     noise_per_ns = 2.0 * detectors.noise_rate_per_arm
     summary = {
         "n_clicks_a": int(hist.n_a),
@@ -225,7 +223,8 @@ def cmd_cross_corr(config, out_dir, seed):
     if not lines or len(lines) != 2:
         raise InvalidInput("cross-corr config needs 'lines': [start_line, stop_line]")
     record, _, _ = _record_from_config(config, seed)
-    detectors, _ = _detectors_from_config(config, record)
+    signal_per_ns = record.times(config.get("line_filter")).size / record.duration
+    detectors, _ = _detectors_from_config(config, signal_per_ns)
     corr_cfg = config["correlation"]
     hist = hbt.cross_correlate_lines(
         record,

@@ -14,7 +14,7 @@ single-photon stream reduces exactly to ``g2_zero_closed_form``.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ AUTO = "auto"
 CROSS = "cross"
 
 _NS_PER_S = 1e9
+_PAIR_CHUNK = 1 << 20  # pairs histogrammed per call in correlate; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -67,35 +68,27 @@ def detect(
     """
     rng = np.random.default_rng(seed)
     duration = record.duration
+    n = record.time_ns.size
+    to_b = rng.random(n) >= detectors.splitter_ratio
+    passed = record.mask(line_filter_a) & ~to_b | record.mask(line_filter_b) & to_b
+    passed &= rng.random(n) < detectors.efficiency
     sigma = detectors.timing_jitter_sigma * 1e-3  # ps -> ns
-
-    arms: List[List[float]] = [[], []]
-    filters = (line_filter_a, line_filter_b)
-    for t, line in record.events:
-        arm = int(rng.random() >= detectors.splitter_ratio)
-        if filters[arm] is not None and line != filters[arm]:
-            continue
-        if rng.random() >= detectors.efficiency:
-            continue
-        if sigma > 0:
-            t = t + rng.normal(0.0, sigma)
-        if 0.0 <= t < duration:
-            arms[arm].append(t)
+    t = record.time_ns + rng.normal(0.0, sigma, n) if sigma > 0 else record.time_ns
+    passed &= (t >= 0.0) & (t < duration)
 
     noise = detectors.noise_rate_per_arm
-    for arm in arms:
-        if noise > 0:
-            n = rng.poisson(noise * duration)
-            arm.extend(rng.uniform(0.0, duration, n).tolist())
-
     out = []
-    for arm in arms:
-        clicks = np.sort(np.array(arm))
+    for arm in (~to_b, to_b):
+        clicks = t[passed & arm]
+        if noise > 0:
+            extra = rng.uniform(0.0, duration, rng.poisson(noise * duration))
+            clicks = np.concatenate([clicks, extra])
+        clicks = np.sort(clicks)
         if detectors.dead_time > 0 and clicks.size:
             kept = [clicks[0]]
-            for t in clicks[1:]:
-                if t - kept[-1] >= detectors.dead_time:
-                    kept.append(t)
+            for t_click in clicks[1:].tolist():
+                if t_click - kept[-1] >= detectors.dead_time:
+                    kept.append(t_click)
             clicks = np.array(kept)
         out.append(clicks)
     return out[0], out[1]
@@ -164,10 +157,17 @@ def correlate(
     # For each start, the relevant stops lie in [t_a - window, t_a + window].
     lo = np.searchsorted(b, a - window, side="left")
     hi = np.searchsorted(b, a + window, side="right")
-    for ta, l, h in zip(a, lo, hi):
-        if h > l:
-            c, _ = np.histogram(b[l:h] - ta, bins=edges)
-            counts += c
+    # Pairs in one flat list: start i owns pairs first[i]:first[i + 1], whose
+    # stops are lo[i] onwards.
+    first = np.concatenate(([0], np.cumsum(hi - lo)))
+    stop_offset = lo - first[:-1]
+    s = 0
+    while s < a.size:  # chunks of at most _PAIR_CHUNK pairs, or of one start
+        e = max(int(np.searchsorted(first, first[s] + _PAIR_CHUNK, side="right")) - 1, s + 1)
+        start = np.repeat(np.arange(s, e), hi[s:e] - lo[s:e])
+        stop = np.arange(first[s], first[e]) + stop_offset[start]
+        counts += np.histogram(b[stop] - a[start], bins=edges)[0]
+        s = e
     centers = 0.5 * (edges[1:] + edges[:-1])
     return CorrelationHistogram(
         centers, counts, len(a), len(b), duration, bin_width, mode, tuple(source_lines)
@@ -270,7 +270,6 @@ def cross_correlate_lines(
 ) -> CorrelationHistogram:
     """Cross-correlation between two emission lines (start on one arm, stop on the other)."""
     a, b = detect(record, detectors, seed, line_filter_a=line_start, line_filter_b=line_stop)
-    hist = correlate(
+    return correlate(
         a, b, window, bin_width, record.duration, mode=CROSS, source_lines=(line_start, line_stop)
     )
-    return hist

@@ -16,8 +16,10 @@ Rates are piecewise constant across pulse edges; waiting times are
 re-drawn at every edge, which is exact for exponential clocks.
 """
 
-from dataclasses import dataclass
-from typing import List, Tuple
+import warnings
+from bisect import bisect_right
+from dataclasses import dataclass, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .errors import InvalidInput
 LINE_X = "X"
 LINE_X2 = "X2"
 LINE_MARKER = "marker"  # diagnostic line emitted from the shelved state
+LINES = (LINE_X, LINE_X2, LINE_MARKER)  # line code (int8) -> line name
 
 MODE_DC = "DC"
 MODE_PULSED = "pulsed"
@@ -35,6 +38,15 @@ SWEEP_ELECTRONS = "electrons_only"
 SWEEP_FULL = "full_reset"
 
 _EMPTY, _X, _X2, _SHELVED = 0, 1, 2, 3
+
+_BLOCK = 1 << 16  # random variates drawn per numpy call in simulate
+
+
+def _require_finite(obj):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is float and not np.isfinite(value):
+            raise InvalidInput(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,12 +60,12 @@ class QDModel:
     marker_rate: float = 0.0  # 1/ns, emitted while shelved (diagnostics only)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.tau_x <= 0 or self.tau_x2 <= 0:
             raise InvalidInput("radiative lifetimes must be > 0")
         for name in ("capture_rate", "unshelve_rate", "sweep_rate", "marker_rate"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise InvalidInput(f"{name} must be finite and >= 0, got {v}")
+            if getattr(self, name) < 0:
+                raise InvalidInput(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.shelve_probability <= 1.0:
             raise InvalidInput(
                 f"shelve_probability must be in [0, 1], got {self.shelve_probability}"
@@ -70,6 +82,7 @@ class DriveProgram:
     sweep_delay: float = 0.0  # ns between pulse end and sweep-out onset
 
     def __post_init__(self):
+        _require_finite(self)
         if self.mode not in (MODE_DC, MODE_PULSED):
             raise InvalidInput(f"mode must be DC or pulsed, got {self.mode!r}")
         if self.sweep_out_regime not in (SWEEP_NONE, SWEEP_ELECTRONS, SWEEP_FULL):
@@ -100,151 +113,144 @@ class DriveProgram:
         return 1e3 / self.repetition_rate
 
 
+def _line_code(line):
+    if line not in LINES:
+        raise InvalidInput(f"unknown emission line {line!r}; known lines: {', '.join(LINES)}")
+    return LINES.index(line)
+
+
 @dataclass
 class EmissionRecord:
-    events: List[Tuple[float, str]]
+    """Photon stream as two parallel arrays in time order: ``time_ns``
+    (float64, ns) and ``line_code`` (int8 index into ``LINES``)."""
+
+    time_ns: np.ndarray
+    line_code: np.ndarray
     duration: float
 
-    def times(self, line=None):
+    def __post_init__(self):
+        self.time_ns = np.asarray(self.time_ns, dtype=np.float64)
+        self.line_code = np.asarray(self.line_code, dtype=np.int8)
+        if self.time_ns.ndim != 1 or self.time_ns.shape != self.line_code.shape:
+            raise InvalidInput("time_ns and line_code must be 1-d arrays of one length")
+
+    @property
+    def events(self):
+        """The record as (time_ns, line_code) rows, derived from the arrays."""
+        return np.rec.fromarrays([self.time_ns, self.line_code], names="time_ns,line_code")
+
+    def mask(self, line=None):
+        """Boolean mask of the photons on ``line``; ``None`` selects every photon."""
         if line is None:
-            return np.array([t for t, _ in self.events])
-        return np.array([t for t, l in self.events if l == line])
+            return np.ones(self.time_ns.size, dtype=bool)
+        return self.line_code == _line_code(line)
+
+    def times(self, line=None):
+        return self.time_ns[self.mask(line)]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("time_ns,line\n")
-            for t, line in self.events:
-                fh.write(f"{t:.9f},{line}\n")
+        rows = np.rec.fromarrays([self.time_ns, np.array(LINES)[self.line_code]])
+        np.savetxt(path, rows, fmt="%.9f,%s", header="time_ns,line", comments="")
 
     @classmethod
     def from_csv(cls, path, duration=None):
-        events = []
-        with open(path) as fh:
-            next(fh)
-            for row in fh:
-                t, line = row.strip().split(",")
-                events.append((float(t), line))
+        with warnings.catch_warnings():  # a header-only file is an empty record
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype="f8,U8", ndmin=1)
+        names, index = np.unique(rows["f1"], return_inverse=True)
+        codes = np.array([_line_code(n) for n in names.tolist()], dtype=np.int8)[index]
         if duration is None:
-            duration = events[-1][0] if events else 0.0
-        return cls(events, duration)
+            duration = float(rows["f0"][-1]) if rows.size else 0.0
+        return cls(rows["f0"], codes, duration)
 
 
 def _phase_schedule(drive: DriveProgram):
     """Per-period list of (start_ns, injection_on, sweep_on) phase segments."""
     if drive.mode == MODE_DC:
         return [(0.0, True, False)]
-    width = drive.pulse_width * 1e-3
-    segments = [(0.0, True, False)]
+    end = drive.pulse_width * 1e-3  # pulse end, ns
     sweep = drive.sweep_out_regime != SWEEP_NONE
     if sweep and drive.sweep_delay > 0:
-        segments.append((width, False, False))
-        segments.append((width + drive.sweep_delay, False, True))
-    else:
-        segments.append((width, False, sweep))
-    return segments
+        return [(0.0, True, False), (end, False, False), (end + drive.sweep_delay, False, True)]
+    return [(0.0, True, False), (end, False, sweep)]
+
+
+def _rate_table(model: QDModel, drive: DriveProgram):
+    """Per phase segment, per state: (total rate, thresholds, next states, lines).
+
+    Each branch is one transition out of the state.  ``thresholds`` are the
+    cumulative branch probabilities without the final 1, so a uniform draw u
+    takes branch ``bisect_right(thresholds, u)``; ``lines`` holds the code of
+    the photon each branch emits, or -1.  Shelving after an X decay is a
+    branch of its own, so it needs no second draw.
+    """
+    full = drive.sweep_out_regime == SWEEP_FULL
+    shelve = 0.0 if full else model.shelve_probability
+    x, x2, marker = range(len(LINES))
+    table = []
+    for _, injecting, sweeping in _phase_schedule(drive):
+        capture = model.capture_rate * injecting
+        sweep = model.sweep_rate * sweeping
+        branches = (  # (rate, next state, line) out of empty, X, X2, shelved
+            [(capture, _X, -1)],
+            [((1 - shelve) / model.tau_x, _EMPTY, x), (shelve / model.tau_x, _SHELVED, x),
+             (capture, _X2, -1), (sweep, _EMPTY, -1)],
+            [(1 / model.tau_x2, _X, x2), (sweep, _EMPTY, -1)],
+            [(model.unshelve_rate, _EMPTY, -1), (model.marker_rate, _SHELVED, marker),
+             (sweep * full, _EMPTY, -1)],
+        )
+        row = []
+        for out in branches:
+            rates, states, lines = zip(*([b for b in out if b[0] > 0.0] or [(0.0, _EMPTY, -1)]))
+            total = sum(rates)
+            row.append((total, (np.cumsum(rates[:-1]) / total).tolist(), states, lines))
+        table.append(row)
+    return table
+
+
+def _variates(draw):
+    """Endless iterator over the values of ``draw(_BLOCK)``, block by block."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_BLOCK))))
 
 
 def simulate(model: QDModel, drive: DriveProgram, seed: int) -> EmissionRecord:
-    """Generate a timestamped photon-emission record; deterministic per seed."""
+    """Generate a timestamped photon-emission record; deterministic per seed.
+
+    Gillespie's direct method over the rate table of each phase segment.
+    """
     rng = np.random.default_rng(seed)
-    events: List[Tuple[float, str]] = []
-    state = _EMPTY
-    t = 0.0
+    next_exp = _variates(rng.standard_exponential).__next__
+    next_uniform = _variates(rng.random).__next__
+    table = _rate_table(model, drive)
     duration = drive.duration
     period = drive.period if drive.mode == MODE_PULSED else duration
-    segments = _phase_schedule(drive)
-    seg_starts = [s for s, _, _ in segments]
-    allow_shelving = drive.sweep_out_regime in (SWEEP_NONE, SWEEP_ELECTRONS)
-
-    rate_x = 1.0 / model.tau_x
-    rate_x2 = 1.0 / model.tau_x2
-
+    ends = [start for start, _, _ in _phase_schedule(drive)][1:] + [period]
+    times, codes = [], []
+    state, t = _EMPTY, 0.0
     # Explicit (period, segment) cursor: deriving the segment from float t is
     # unsafe at boundaries, where rounding can stall the clock.
     n_per, i_seg = 0, 0
-
+    seg_end = min(ends[0], duration)
     while t < duration:
-        if drive.mode == MODE_PULSED:
-            _, injecting, sweeping = segments[i_seg]
-            seg_end = (
-                n_per * period + segments[i_seg + 1][0]
-                if i_seg + 1 < len(segments)
-                else (n_per + 1) * period
-            )
-        else:
-            injecting, sweeping = True, False
-            seg_end = duration
-        seg_end = min(seg_end, duration)
-
-        channels = []
-        if state == _EMPTY:
-            if injecting and model.capture_rate > 0:
-                channels.append((model.capture_rate, "capture"))
-        elif state == _X:
-            channels.append((rate_x, "decay_x"))
-            if injecting and model.capture_rate > 0:
-                channels.append((model.capture_rate, "capture"))
-            if sweeping and model.sweep_rate > 0:
-                channels.append((model.sweep_rate, "sweep"))
-        elif state == _X2:
-            channels.append((rate_x2, "decay_x2"))
-            if sweeping and model.sweep_rate > 0:
-                channels.append((model.sweep_rate, "sweep"))
-        else:  # shelved
-            if model.unshelve_rate > 0:
-                channels.append((model.unshelve_rate, "unshelve"))
-            if model.marker_rate > 0:
-                channels.append((model.marker_rate, "marker"))
-            if sweeping and drive.sweep_out_regime == SWEEP_FULL and model.sweep_rate > 0:
-                channels.append((model.sweep_rate, "sweep"))
-
-        def _advance_cursor():
-            nonlocal n_per, i_seg
-            if i_seg + 1 < len(segments):
-                i_seg += 1
-            else:
-                i_seg = 0
-                n_per += 1
-
-        total = sum(r for r, _ in channels)
-        if total <= 0.0:
-            t = seg_end
-            _advance_cursor()
-            continue
-        dt = rng.exponential(1.0 / total)
-        if t + dt >= seg_end:
-            t = seg_end
-            _advance_cursor()
-            continue
-        t += dt
-        pick = rng.random() * total
-        acc = 0.0
-        action = channels[-1][1]
-        for r, name in channels:
-            acc += r
-            if pick < acc:
-                action = name
-                break
-
-        if action == "capture":
-            state = _X2 if state == _X else _X
-        elif action == "decay_x2":
-            events.append((t, LINE_X2))
-            state = _X
-        elif action == "decay_x":
-            events.append((t, LINE_X))
-            if allow_shelving and rng.random() < model.shelve_probability:
-                state = _SHELVED
-            else:
-                state = _EMPTY
-        elif action == "sweep":
-            state = _EMPTY
-        elif action == "unshelve":
-            state = _EMPTY
-        elif action == "marker":
-            events.append((t, LINE_MARKER))
-
-    return EmissionRecord(events, duration)
+        total, thresholds, next_states, lines = table[i_seg][state]
+        if total > 0.0:
+            t_next = t + next_exp() / total
+            if t_next < seg_end:
+                t = t_next
+                k = bisect_right(thresholds, next_uniform()) if thresholds else 0
+                if lines[k] >= 0:
+                    times.append(t)
+                    codes.append(lines[k])
+                state = next_states[k]
+                continue
+        # No transition before the segment edge: the rates change there, so
+        # the waiting time is redrawn (exact for exponential clocks).
+        t = seg_end
+        i_seg += 1
+        if i_seg == len(ends):
+            i_seg, n_per = 0, n_per + 1
+        seg_end = min(n_per * period + ends[i_seg], duration)
+    return EmissionRecord(times, codes, duration)
 
 
 def decay_profile(record: EmissionRecord, drive: DriveProgram, line=LINE_X, bin_ps=50.0):
@@ -260,9 +266,7 @@ def decay_profile(record: EmissionRecord, drive: DriveProgram, line=LINE_X, bin_
     bin_ns = bin_ps * 1e-3
     n_bins = max(int(np.ceil(period / bin_ns)), 1)
     edges = np.linspace(0.0, period, n_bins + 1)
-    times = record.times(line)
-    phases = np.mod(times, period) if times.size else times
-    counts, _ = np.histogram(phases, bins=edges)
+    counts, _ = np.histogram(np.mod(record.times(line), period), bins=edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
     return centers, counts
 
@@ -306,7 +310,7 @@ def poisson_photon_record(rate_per_ns, duration_ns, seed, line=LINE_X) -> Emissi
     rng = np.random.default_rng(seed)
     n = rng.poisson(rate_per_ns * duration_ns)
     times = np.sort(rng.uniform(0.0, duration_ns, n))
-    return EmissionRecord([(float(t), line) for t in times], duration_ns)
+    return EmissionRecord(times, np.full(times.size, _line_code(line)), duration_ns)
 
 
 def pulsed_poisson_record(
@@ -316,11 +320,7 @@ def pulsed_poisson_record(
     rng = np.random.default_rng(seed)
     period = 1e3 / repetition_rate_mhz
     n_pulses = int(duration_ns / period)
-    events = []
-    for k in range(n_pulses):
-        for _ in range(rng.poisson(mean_photons_per_pulse)):
-            t = k * period + abs(rng.normal(0.0, jitter_ns))
-            if 0.0 <= t < duration_ns:
-                events.append((float(t), line))
-    events.sort()
-    return EmissionRecord(events, duration_ns)
+    pulse = np.repeat(np.arange(n_pulses), rng.poisson(mean_photons_per_pulse, n_pulses))
+    times = pulse * period + np.abs(rng.normal(0.0, jitter_ns, pulse.size))
+    times = np.sort(times[times < duration_ns])
+    return EmissionRecord(times, np.full(times.size, _line_code(line)), duration_ns)

@@ -254,3 +254,26 @@ def shelving_peak_areas(ms, q_excite, shelve_p, unshelve, period):
             ps = ps * b + (1.0 - ps) * step_from_ready
         areas.append((1.0 - ps) / (1.0 - pi_s))
     return np.array(areas)
+
+
+# ---------------------------------------------------------------------------
+# Pulsed drive without refilling: at most one photon per pulse, emitted an
+# exponential delay (lifetime tau_x) after the pulse, independently of the
+# other pulses.
+
+
+def unrefilled_zero_area(period, tau_x):
+    """Normalized zero-window area(0) of a pulsed source that never refills.
+
+    Peak m collects the delays within half a period of m * period.  With no
+    two photons from one pulse, every zero-window pair comes from pulses
+    m != 0 apart whose emission delays s1, s2 differ by D = s2 - s1 with
+    |m * period + D| < period / 2.  The windows tile the delay axis, so a far
+    window holds exactly one peak's area and, summed over m != 0,
+
+        area(0) = 1 - P(|D| < period / 2) = P(|D| > period / 2).
+
+    The difference of two independent exponential delays is Laplace
+    distributed, P(|D| > x) = exp(-x / tau_x).
+    """
+    return float(np.exp(-0.5 * period / tau_x))

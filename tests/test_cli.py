@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -66,6 +67,25 @@ class TestExitCodes:
         assert rc == 2
         assert elapsed < 0.1
         assert "pulse width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            ("drive", "duration", math.inf),
+            ("drive", "duration", math.nan),
+            ("drive", "repetition_rate", math.nan),
+            ("model", "tau_x", math.nan),
+            ("model", "tau_x2", math.nan),
+            ("model", "tau_x", math.inf),
+        ],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, block, key, value):
+        config = small_hbt_config()
+        config[block] = dict(config[block], **{key: value})
+        path = write_config(tmp_path, config)  # json writes Infinity and NaN
+        rc = cli.main(["hbt", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

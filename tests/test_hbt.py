@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import dc_g2, shelving_peak_areas
+from oracles import dc_g2, shelving_peak_areas, unrefilled_zero_area
+from speds import hbt as hbt_module
 from speds.errors import InvalidInput
 from speds.hbt import (
     CorrelationHistogram,
@@ -25,6 +26,37 @@ from speds.qd import (
 )
 
 
+def per_start_counts(a, b, window, bin_width):
+    """Coincidence counts from one histogram per start, the original loop."""
+    edges = np.linspace(-window, window, int(np.round(2 * window / bin_width)) + 1)
+    counts = np.zeros(edges.size - 1)
+    lo = np.searchsorted(b, a - window, side="left")
+    hi = np.searchsorted(b, a + window, side="right")
+    for ta, l, h in zip(a, lo, hi):
+        counts += np.histogram(b[l:h] - ta, bins=edges)[0]
+    return counts
+
+
+def brute_force_counts(a, b, window, bin_width):
+    """Every (start, stop) pair, binned by hand; exact for times on a binary grid."""
+    n_bins = int(round(2 * window / bin_width))
+    counts = np.zeros(n_bins)
+    for ta in a:
+        for tb in b:
+            d = tb - ta
+            if -window <= d <= window:  # the last bin includes +window
+                counts[min(int((d + window) // bin_width), n_bins - 1)] += 1
+    return counts
+
+
+def greedy_dead_time(clicks, dead_time):
+    kept = []
+    for t in clicks:
+        if not kept or t - kept[-1] >= dead_time:
+            kept.append(t)
+    return np.array(kept)
+
+
 class TestDetect:
     def test_ideal_chain_partitions_photons(self):
         rec = poisson_photon_record(0.02, 1e4, seed=1)
@@ -34,7 +66,7 @@ class TestDetect:
 
     def test_dark_counts_are_poissonian(self):
         # chi-square against the Poisson law over many independent realizations
-        empty = EmissionRecord([], duration=1e4)
+        empty = EmissionRecord([], [], duration=1e4)
         det = DetectorPair(dark_rate=2e6)  # 0.002/ns total -> mean 10 per arm
         counts = []
         for s in range(400):
@@ -64,11 +96,11 @@ class TestDetect:
         rec = poisson_photon_record(0.05, 2e5, seed=5)
         a, b = detect(rec, DetectorPair(efficiency=0.25), seed=6)
         n = len(a) + len(b)
-        expected = 0.25 * len(rec.events)
+        expected = 0.25 * rec.time_ns.size
         assert abs(n - expected) < 4 * np.sqrt(expected)
 
     def test_jitter_smears_times(self):
-        rec = EmissionRecord([(100.0 * k, LINE_X) for k in range(1, 2000)], 2.1e5)
+        rec = EmissionRecord(100.0 * np.arange(1, 2000), np.zeros(1999), 2.1e5)
         a, b = detect(rec, DetectorPair(timing_jitter_sigma=350.0), seed=7)
         residuals = np.concatenate([a, b]) % 100.0
         spread = np.minimum(residuals, 100.0 - residuals)
@@ -79,6 +111,26 @@ class TestDetect:
         a, b = detect(rec, DetectorPair(dead_time=5.0), seed=9)
         for arm in (a, b):
             assert np.all(np.diff(arm) >= 5.0)
+
+    def test_dead_time_with_noise_and_jitter(self):
+        # dead time draws no random numbers, so the same seed without it gives
+        # the clicks it acts on
+        rec = poisson_photon_record(0.5, 2e4, seed=30)
+        live = DetectorPair(dark_rate=2e8, timing_jitter_sigma=200.0)
+        dead = DetectorPair(dark_rate=2e8, timing_jitter_sigma=200.0, dead_time=3.0)
+        for raw, kept in zip(detect(rec, live, seed=31), detect(rec, dead, seed=31)):
+            assert np.all(np.diff(kept) >= 3.0)
+            assert np.array_equal(kept, greedy_dead_time(raw, 3.0))
+            assert kept.size < raw.size
+
+    def test_line_filters_per_arm(self):
+        rec = simulate(QDModel(capture_rate=2.0), DriveProgram(mode="DC", duration=2e4), seed=32)
+        a, b = detect(rec, DetectorPair(), seed=33, line_filter_a=LINE_X, line_filter_b=LINE_X2)
+        assert a.size > 100 and b.size > 100
+        assert np.all(np.isin(a, rec.times(LINE_X)))
+        assert np.all(np.isin(b, rec.times(LINE_X2)))
+        n_x = rec.times(LINE_X).size  # half reach arm A
+        assert abs(a.size - n_x / 2) < 4 * np.sqrt(n_x / 4)
 
 
 class TestCorrelate:
@@ -122,6 +174,33 @@ class TestCorrelate:
             oracle = dc_g2(grid, tau_x, tau_x2, c, sp, u).mean()
             se = np.sqrt(max(h.counts[i], 1.0)) / expected_counts
             assert abs(g2[i] - oracle) < 3.0 * se
+
+    def test_matches_brute_force_on_window_and_bin_edges(self):
+        # times on a 0.25 ns grid: every delay is a bin edge, some are +-window
+        rng = np.random.default_rng(34)
+        a = np.sort(rng.integers(0, 400, 60) * 0.25)
+        edge_pairs = np.concatenate([a[:5] + 16.0, a[5:10] - 16.0])
+        b = np.sort(np.concatenate([rng.integers(0, 400, 60) * 0.25, edge_pairs]))
+        h = correlate(a, b, window=16.0, bin_width=0.25, duration=100.0)
+        reference = brute_force_counts(a, b, 16.0, 0.25)
+        assert reference[0] >= 5 and reference[-1] >= 5
+        assert np.array_equal(h.counts, reference)
+
+    def test_matches_per_start_loop_bit_for_bit(self):
+        rng = np.random.default_rng(35)
+        a = rng.uniform(0, 1e3, 3000)  # starts need not be sorted
+        b = np.sort(rng.uniform(0, 1e3, 3000))
+        h = correlate(a, b, window=7.3, bin_width=0.11, duration=1e3)
+        assert np.array_equal(h.counts, per_start_counts(a, b, 7.3, 0.11))
+
+    def test_chunk_size_does_not_change_counts(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        a = np.sort(rng.uniform(0, 1e3, 2000))
+        b = np.sort(rng.uniform(0, 1e3, 2000))
+        whole = correlate(a, b, window=10.0, bin_width=0.1, duration=1e3).counts
+        monkeypatch.setattr(hbt_module, "_PAIR_CHUNK", 3)
+        chunked = correlate(a, b, window=10.0, bin_width=0.1, duration=1e3).counts
+        assert np.array_equal(whole, chunked)
 
     def test_bin_window_contract(self):
         with pytest.raises(InvalidInput):
@@ -227,7 +306,9 @@ class TestPeakAreas:
             assert abs(measured - expected) < 3.0 * se
 
     def test_refilling_monotonicity(self):
-        # area(0) grows with pulse_width / tau_X and vanishes for short pulses
+        # area(0) grows with pulse_width / tau_X.  A 50 ps pulse leaves almost
+        # no time to refill, so its area(0) is the leak of the +-1 peaks into
+        # the zero window, exp(-T / (2 tau_X)) = 0.051 without refilling.
         model = QDModel(tau_x=2.1, tau_x2=0.68, capture_rate=2.0, shelve_probability=0.0)
         a0 = []
         for width_ps in (50.0, 3000.0, 8000.0):
@@ -239,7 +320,11 @@ class TestPeakAreas:
             h = correlate(a, b, window=160.0, bin_width=0.5, duration=rec.duration)
             areas = peak_area_analysis(h, 80.0, m_far=10)
             a0.append(areas.area(0))
-        assert a0[0] < 0.05
+            if width_ps == 50.0:
+                far_mean = areas.raw_counts[np.abs(areas.orders) >= 10].mean()
+                oracle = unrefilled_zero_area(drive.period, model.tau_x)
+                se = np.sqrt(oracle / far_mean)  # Poisson error of the oracle's count
+        assert abs(a0[0] - oracle) < 3.0 * se
         assert a0[0] < a0[1] < a0[2]
 
 

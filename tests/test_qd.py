@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from speds.qd import (
     LINE_MARKER,
     LINE_X,
     LINE_X2,
+    LINES,
     MODE_DC,
     MODE_PULSED,
+    SWEEP_ELECTRONS,
     SWEEP_FULL,
     SWEEP_NONE,
     DriveProgram,
@@ -24,11 +28,23 @@ from speds.qd import (
 )
 
 
+def same_record(r1, r2):
+    return (
+        np.array_equal(r1.time_ns, r2.time_ns)
+        and np.array_equal(r1.line_code, r2.line_code)
+        and r1.duration == r2.duration
+    )
+
+
+def line_names(rec):
+    return np.array(LINES)[rec.line_code]
+
+
 class TestTrivial:
     def test_zero_capture_rate_no_events(self):
         model = QDModel(capture_rate=0.0)
         drive = DriveProgram(mode=MODE_DC, duration=1e4)
-        assert simulate(model, drive, seed=1).events == []
+        assert simulate(model, drive, seed=1).time_ns.size == 0
 
     def test_at_most_one_x_photon_per_period_with_full_reset(self):
         model = QDModel(capture_rate=5.0, shelve_probability=0.0, sweep_rate=200.0)
@@ -57,12 +73,12 @@ class TestDeterminism:
     def test_identical_seed_identical_record(self):
         model = QDModel()
         drive = DriveProgram(duration=1e4)
-        assert simulate(model, drive, seed=7).events == simulate(model, drive, seed=7).events
+        assert same_record(simulate(model, drive, seed=7), simulate(model, drive, seed=7))
 
     def test_different_seed_differs(self):
         model = QDModel()
         drive = DriveProgram(duration=1e4)
-        assert simulate(model, drive, seed=7).events != simulate(model, drive, seed=8).events
+        assert not same_record(simulate(model, drive, seed=7), simulate(model, drive, seed=8))
 
     def test_csv_round_trip_byte_identical(self, tmp_path):
         model = QDModel()
@@ -72,6 +88,45 @@ class TestDeterminism:
         rec.to_csv(p1)
         EmissionRecord.from_csv(p1, duration=rec.duration).to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestColumnarRecord:
+    @staticmethod
+    def record(duration=4.0):
+        codes = [LINES.index(LINE_X), LINES.index(LINE_MARKER), LINES.index(LINE_X2)]
+        return EmissionRecord([1.5, 2.25, 3.0], codes, duration)
+
+    def test_events_rows_read_the_arrays(self):
+        rec = self.record()
+        assert len(rec.events) == 3
+        assert rec.events.tolist() == list(zip([1.5, 2.25, 3.0], rec.line_code.tolist()))
+        assert rec.events.line_code[1] == LINES.index(LINE_MARKER)
+
+    def test_times_masks_by_line(self):
+        rec = self.record()
+        assert rec.times(LINE_X2).tolist() == [3.0]
+        assert rec.times().tolist() == [1.5, 2.25, 3.0]
+        with pytest.raises(InvalidInput):
+            rec.times("Y")
+
+    def test_csv_bytes_and_round_trip(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        self.record().to_csv(path)
+        assert path.read_text() == (
+            "time_ns,line\n1.500000000,X\n2.250000000,marker\n3.000000000,X2\n"
+        )
+        assert same_record(EmissionRecord.from_csv(path), self.record(duration=3.0))
+
+    def test_empty_csv_round_trip(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        EmissionRecord([], [], 10.0).to_csv(path)
+        assert path.read_text() == "time_ns,line\n"
+        back = EmissionRecord.from_csv(path, duration=10.0)
+        assert back.time_ns.size == 0 and back.duration == 10.0
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(InvalidInput):
+            EmissionRecord([1.0, 2.0], [0], 3.0)
 
 
 class TestCascade:
@@ -86,13 +141,11 @@ class TestCascade:
         )
         rec = simulate(model, drive, seed=4)
         width = drive.pulse_width * 1e-3
-        checked = 0
-        for (t, line), (t2, line2) in zip(rec.events, rec.events[1:]):
-            same_period = int(t2 / drive.period) == int(t / drive.period)
-            if line == LINE_X2 and np.mod(t, drive.period) > width and same_period:
-                assert line2 == LINE_X
-                checked += 1
-        assert checked > 100
+        t, lines = rec.time_ns, line_names(rec)
+        same_period = (t[1:] // drive.period) == (t[:-1] // drive.period)
+        checked = (lines[:-1] == LINE_X2) & (np.mod(t[:-1], drive.period) > width) & same_period
+        assert np.all(lines[1:][checked] == LINE_X)
+        assert checked.sum() > 100
 
     def test_x2_needs_high_injection(self):
         weak = simulate(QDModel(capture_rate=0.02), DriveProgram(mode=MODE_DC, duration=5e4), 5)
@@ -153,6 +206,20 @@ class TestDecayProfile:
         onset = drive.pulse_width * 1e-3 + drive.sweep_delay
         after = counts[centers > onset + 0.3].sum()
         before = counts[centers <= onset].sum()
+        assert after < 0.01 * before
+
+    def test_electrons_only_sweep_out_truncates_tail(self):
+        # sweep-out empties X and X2 in both regimes; with shelving on, the
+        # shelved dots it leaves alone emit nothing, so the tail still ends
+        drive = self.fig8_drive(SWEEP_ELECTRONS, duration=5e5)
+        model = QDModel(tau_x=2.1, tau_x2=0.68, capture_rate=5.0, shelve_probability=0.8,
+                        sweep_rate=1000.0)
+        rec = simulate(model, drive, seed=26)
+        centers, counts = decay_profile(rec, drive, line=LINE_X)
+        onset = drive.pulse_width * 1e-3 + drive.sweep_delay
+        after = counts[centers > onset + 0.3].sum()
+        before = counts[centers <= onset].sum()
+        assert before > 300
         assert after < 0.01 * before
 
     @pytest.mark.parametrize("tau,expected,tol", [(2.1, 0.2005, 0.02), (0.68, 0.4992, 0.05)])
@@ -219,6 +286,18 @@ class TestShelvingMemory:
         sigma = np.sqrt(p_cond * (1 - p_cond) / after.size)
         assert abs(p_cond - p_uncond) < 3 * sigma
 
+    def test_electrons_only_keeps_memory(self):
+        # unlike full_reset, sweeping out electrons leaves the shelved state,
+        # so an emission still suppresses the next pulse's
+        model = QDModel(capture_rate=1.2, shelve_probability=0.8, unshelve_rate=0.1)
+        drive = self.drive(SWEEP_ELECTRONS)
+        emitted = self.per_period_emission(simulate(model, drive, seed=34), drive)
+        p_uncond = emitted.mean()
+        after = emitted[1:][emitted[:-1]]
+        p_cond = after.mean()
+        sigma = np.sqrt(p_cond * (1 - p_cond) / after.size)
+        assert p_cond < p_uncond - 3 * sigma
+
     def test_marker_line_only_when_shelved(self):
         model = QDModel(capture_rate=1.0, shelve_probability=0.5, unshelve_rate=0.1,
                         marker_rate=0.5)
@@ -226,10 +305,8 @@ class TestShelvingMemory:
         markers = rec.times(LINE_MARKER)
         assert markers.size > 0
         # markers never interleave an X2->X cascade (the dot is not shelved mid-cascade)
-        lines = [l for _, l in rec.events]
-        for i, l in enumerate(lines[:-1]):
-            if l == LINE_X2:
-                assert lines[i + 1] != LINE_MARKER
+        lines = line_names(rec)
+        assert not np.any((lines[:-1] == LINE_X2) & (lines[1:] == LINE_MARKER))
 
 
 class TestThroughput:
@@ -250,8 +327,15 @@ class TestThroughput:
 class TestPoissonSources:
     def test_dc_poisson_count(self):
         rec = poisson_photon_record(0.05, 1e5, seed=41)
-        n = len(rec.events)
+        n = rec.time_ns.size
         assert abs(n - 5000) < 4 * np.sqrt(5000)
+
+    def test_pulsed_poisson_count_and_order(self):
+        rec = pulsed_poisson_record(80.0, 0.3, 1e5, seed=43)
+        expected = 0.3 * 8000  # pulses in 1e5 ns at 12.5 ns
+        assert abs(rec.time_ns.size - expected) < 4 * np.sqrt(expected)
+        assert np.all(np.diff(rec.time_ns) >= 0)
+        assert rec.time_ns[0] >= 0.0 and rec.time_ns[-1] < rec.duration
 
     def test_pulsed_poisson_structure(self):
         rec = pulsed_poisson_record(80.0, 0.3, 1e5, seed=42)
@@ -289,3 +373,17 @@ class TestValidation:
                 sweep_out_regime=SWEEP_FULL,
                 sweep_delay=5.0,
             )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(QDModel)])
+    def test_model_rejects_non_finite(self, name, value):
+        with pytest.raises(InvalidInput, match="finite"):
+            QDModel(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(DriveProgram) if f.type is float]
+    )
+    def test_drive_rejects_non_finite(self, name, value):
+        with pytest.raises(InvalidInput, match="finite"):
+            DriveProgram(mode=MODE_DC, **{name: value})
