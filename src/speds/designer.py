@@ -130,7 +130,7 @@ def top_mirror_design(
     )
 
 
-def sweep_bottom_mirror(max_periods, numerical_apertures: Sequence[float], rel_tol=1e-6):
+def sweep_bottom_mirror(max_periods, numerical_apertures: Sequence[float]):
     """Collection efficiency versus bottom-mirror repeats (Fig. 5 style sweep).
 
     Returns {numerical_aperture: SweepResult} with N = 0..max_periods.
@@ -142,19 +142,19 @@ def sweep_bottom_mirror(max_periods, numerical_apertures: Sequence[float], rel_t
         etas = []
         for n in range(max_periods + 1):
             geom = geometry_for(fig5_design(n, na))
-            etas.append(direct_collection_efficiency(geom, na, rel_tol=rel_tol))
+            etas.append(direct_collection_efficiency(geom, na))
         results[float(na)] = SweepResult(list(range(max_periods + 1)), etas)
     return results
 
 
-def optimize_top_mirror(bottom_periods=12, max_top=10, numerical_aperture=0.5, rel_tol=1e-6):
+def optimize_top_mirror(bottom_periods=12, max_top=10, numerical_aperture=0.5):
     """Collection efficiency versus top-mirror repeats for a one-wavelength cavity."""
     if bottom_periods < 0 or max_top < 0:
         raise InvalidInput("period counts must be >= 0")
     etas = []
     for t in range(max_top + 1):
         geom = geometry_for(top_mirror_design(t, bottom_periods, numerical_aperture))
-        etas.append(direct_collection_efficiency(geom, numerical_aperture, rel_tol=rel_tol))
+        etas.append(direct_collection_efficiency(geom, numerical_aperture))
     return SweepResult(list(range(max_top + 1)), etas)
 
 

@@ -16,14 +16,22 @@ host medium.  Results are averaged over two orthogonal in-plane dipole
 orientations.
 """
 
-import io
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, UnsupportedInput
 from .multilayer import TE, TM, LayerStack, _check_index, stack_rt
+
+# Imaginary part added to every finite layer index: damps guided-mode poles
+# that sit on the real k-parallel axis.
+_IM_REG = 1e-6
+# Added in quadrature to |1 - a_up a_dn| so that resonance peaks stay finite.
+_DENOM_FLOOR = 1e-3
+# Depth h of the complex contour chi = t - i h sin(2t) of the total-power integral.
+_CONTOUR_DEPTH = 0.12
+# Gauss-Legendre order within each emission-pattern bin.
+_BIN_ORDER = 12
 
 _GL_CACHE = {}
 
@@ -34,23 +42,28 @@ def _gauss_nodes(order):
     return _GL_CACHE[order]
 
 
-def _panel_integrate(f, a, b, panels, order):
+def _panel_integrals(f, edges, order):
+    """Gauss-Legendre integral of ``f`` over each panel [edges[i], edges[i+1]],
+    from one vectorized call of ``f``."""
     x, w = _gauss_nodes(order)
-    edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = f(nodes).reshape(panels, order)
-    return np.sum(vals * w[None, :] * half[:, None])
+    nodes = mid[:, None] + half[:, None] * x[None, :]
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    return np.sum(vals * w[None, :], axis=1) * half
 
 
 def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, order=24):
     """Composite Gauss-Legendre with panel doubling until converged."""
+
+    def integrate(panels):
+        return np.sum(_panel_integrals(f, np.linspace(a, b, panels + 1), order))
+
     panels = min_panels
-    prev = _panel_integrate(f, a, b, panels, order)
+    prev = integrate(panels)
     for _ in range(max_doublings):
         panels *= 2
-        cur = _panel_integrate(f, a, b, panels, order)
+        cur = integrate(panels)
         scale = max(abs(cur), 1e-12)
         change = abs(cur - prev)
         if change <= rel_tol * scale:
@@ -61,6 +74,13 @@ def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, orde
         f"{panels} panels, last change {change:.3e} vs "
         f"tolerance {rel_tol:.1e} * {scale:.3e}"
     )
+
+
+def _bin_edges_rad(theta_deg):
+    """Edges of the bins around each grid angle: the midpoints between
+    neighbours, closed by the grid's end points."""
+    th = np.radians(theta_deg)
+    return np.concatenate(([th[0]], 0.5 * (th[1:] + th[:-1]), [th[-1]]))
 
 
 @dataclass(frozen=True)
@@ -129,14 +149,9 @@ class AngularPowerSpectrum:
         if self.theta_grid.shape != self.power_density.shape:
             raise InvalidInput("theta_grid and power_density must have equal length")
 
-    def _bin_edges_rad(self):
-        th = np.radians(self.theta_grid)
-        mid = 0.5 * (th[1:] + th[:-1])
-        return np.concatenate(([th[0]], mid, [th[-1]]))
-
     def cone_power(self, theta_max_deg):
         """Radiated power in [0, theta_max_deg], from the piecewise-constant bins."""
-        edges = self._bin_edges_rad()
+        edges = _bin_edges_rad(self.theta_grid)
         tmax = np.radians(theta_max_deg)
         lo = edges[:-1]
         hi = edges[1:]
@@ -144,7 +159,7 @@ class AngularPowerSpectrum:
         return float(np.sum(self.power_density * overlap))
 
     def radiated_power(self):
-        edges = self._bin_edges_rad()
+        edges = _bin_edges_rad(self.theta_grid)
         return float(np.sum(self.power_density * np.diff(edges)))
 
     def to_csv(self, path_or_buf):
@@ -186,10 +201,8 @@ class AngularPowerSpectrum:
 class _CavityFields:
     """Evaluates mirror amplitudes and escape densities for one geometry."""
 
-    def __init__(self, geometry: EmissionGeometry, im_reg=1e-6, denom_floor=1e-3):
+    def __init__(self, geometry: EmissionGeometry):
         self.g = geometry
-        self.im_reg = float(im_reg)
-        self.denom_floor = float(denom_floor)
         self.wl = geometry.source.vacuum_wavelength
         self.k0 = 2.0 * np.pi / self.wl
         self.n_host = geometry.source.host_index.real
@@ -201,8 +214,8 @@ class _CavityFields:
         kz_host = self.n_host * self.k0 * np.cos(chi)
         out = {}
         for pol in (TE, TM):
-            r_up, _ = stack_rt(self.g.upper, self.wl, kpar, pol, self.im_reg)
-            r_dn, _ = stack_rt(self.g.lower, self.wl, kpar, pol, self.im_reg)
+            r_up, _ = stack_rt(self.g.upper, self.wl, kpar, pol, _IM_REG)
+            r_dn, _ = stack_rt(self.g.lower, self.wl, kpar, pol, _IM_REG)
             out[pol] = (
                 r_up * np.exp(2j * kz_host * self.g.source.distance_to_upper_stack),
                 r_dn * np.exp(2j * kz_host * self.g.source.distance_to_lower_stack),
@@ -219,15 +232,15 @@ class _CavityFields:
         tm = (1.0 - a_up_tm) * (1.0 - a_dn_tm) / (1.0 - a_up_tm * a_dn_tm)
         return 0.75 * s * (te + c ** 2 * tm)
 
-    def total_power(self, rel_tol=1e-6, contour_depth=0.12):
-        h = contour_depth
+    def total_power(self):
+        h = _CONTOUR_DEPTH
 
         def f(t):
             chi = t - 1j * h * np.sin(2.0 * t)
             dchi = 1.0 - 2j * h * np.cos(2.0 * t)
             return self.dissipation_integrand(chi) * dchi
 
-        val = adaptive_integral(f, 0.0, 0.5 * np.pi, rel_tol=rel_tol)
+        val = adaptive_integral(f, 0.0, 0.5 * np.pi)
         return float(np.real(val))
 
     def escape_density(self, theta_rad, side):
@@ -237,18 +250,10 @@ class _CavityFields:
         (air side: from +z; substrate side: from -z).
         """
         theta_rad = np.asarray(theta_rad, dtype=float)
-        stack = self.g.upper if side == "top" else self.g.lower
-        dist_same = (
-            self.g.source.distance_to_upper_stack
-            if side == "top"
-            else self.g.source.distance_to_lower_stack
-        )
-        dist_opp = (
-            self.g.source.distance_to_lower_stack
-            if side == "top"
-            else self.g.source.distance_to_upper_stack
-        )
-        opp_stack = self.g.lower if side == "top" else self.g.upper
+        src = self.g.source
+        up = (self.g.upper, src.distance_to_upper_stack)
+        dn = (self.g.lower, src.distance_to_lower_stack)
+        (stack, dist_same), (opp_stack, dist_opp) = (up, dn) if side == "top" else (dn, up)
         n_out = stack.exit_index.real
         u = (n_out / self.n_host) * np.sin(theta_rad)
         cos2chi = 1.0 - u ** 2
@@ -262,10 +267,10 @@ class _CavityFields:
             * np.sin(theta_rad)
             * np.cos(theta_rad) ** 2
         )
-        floor2 = self.denom_floor ** 2
+        floor2 = _DENOM_FLOOR ** 2
         for pol, sign in ((TE, +1.0), (TM, -1.0)):
-            r_same, t_same = stack_rt(stack, self.wl, kpar, pol, self.im_reg)
-            r_opp, _ = stack_rt(opp_stack, self.wl, kpar, pol, self.im_reg)
+            r_same, t_same = stack_rt(stack, self.wl, kpar, pol, _IM_REG)
+            r_opp, _ = stack_rt(opp_stack, self.wl, kpar, pol, _IM_REG)
             a_same = r_same * np.exp(2j * kz_host * dist_same)
             a_opp = r_opp * np.exp(2j * kz_host * dist_opp)
             denom = np.abs(1.0 - a_same * a_opp) ** 2 + floor2
@@ -279,62 +284,49 @@ class _CavityFields:
 
 
 def emission_pattern(
-    geometry: EmissionGeometry,
-    angular_resolution=0.25,
-    rel_tol=1e-6,
-    im_reg=1e-6,
-    bin_order=12,
-    include_guided_spike=False,
+    geometry: EmissionGeometry, angular_resolution=0.25, include_guided_spike=False
 ):
     """Orientation-averaged in-plane-dipole power versus polar angle.
 
     power_density is the per-bin average power per radian; summing
     density * bin width over the grid plus guided_power recovers total_power.
     """
-    if angular_resolution > 0.5 or angular_resolution <= 0:
+    if not (0.0 < angular_resolution <= 0.5):
         raise InvalidInput(
             f"angular_resolution must be in (0, 0.5] degrees, got {angular_resolution}"
         )
-    fields = _CavityFields(geometry, im_reg=im_reg)
-    total = fields.total_power(rel_tol=rel_tol)
+    fields = _CavityFields(geometry)
+    total = fields.total_power()
 
     res = float(angular_resolution)
     theta_grid = np.arange(0.0, 180.0 + 0.5 * res, res)
-    th_rad = np.radians(theta_grid)
-    mid = 0.5 * (th_rad[1:] + th_rad[:-1])
-    edges = np.concatenate(([th_rad[0]], mid, [th_rad[-1]]))
+    edges = _bin_edges_rad(theta_grid)
     half_pi = 0.5 * np.pi
+    # Each half-space is one set of panels: the bins on its side of 90 degrees,
+    # with the bin that straddles 90 degrees cut there.  Angles are converted
+    # to the half-space's own polar angle (substrate side: from -z).
+    below = int(np.searchsorted(edges, half_pi, side="left"))  # edges < 90 degrees
+    above = int(np.searchsorted(edges, half_pi, side="right"))  # first edge > 90 degrees
+    top = _panel_integrals(
+        lambda th: fields.escape_density(th, "top"),
+        np.append(edges[:below], half_pi),
+        _BIN_ORDER,
+    )
+    bottom = _panel_integrals(
+        lambda th: fields.escape_density(np.pi - th, "bottom"),
+        np.append(half_pi, edges[above:]),
+        _BIN_ORDER,
+    )
+    integral = np.zeros_like(theta_grid)
+    integral[:below] += top
+    integral[above - 1:] += bottom
+    density = integral / np.diff(edges)
 
-    x, w = _gauss_nodes(bin_order)
-    density = np.zeros_like(theta_grid)
-    radiated = {"top": 0.0, "bottom": 0.0}
-    for i in range(len(theta_grid)):
-        lo, hi = edges[i], edges[i + 1]
-        width = hi - lo
-        if width <= 0:
-            continue
-        integral = 0.0
-        for side, (a, b) in (
-            ("top", (lo, min(hi, half_pi))),
-            ("bottom", (max(lo, half_pi), hi)),
-        ):
-            if b <= a:
-                continue
-            h2 = 0.5 * (b - a)
-            nodes = 0.5 * (a + b) + h2 * x
-            # convert to the half-space's own polar angle
-            th_loc = nodes if side == "top" else np.pi - nodes
-            vals = fields.escape_density(th_loc, side)
-            part = float(np.sum(vals * w) * h2)
-            integral += part
-            radiated[side] += part
-        density[i] = integral / width
-
-    radiated_sum = radiated["top"] + radiated["bottom"]
-    guided = total - radiated_sum
+    radiated = float(np.sum(integral))
+    guided = total - radiated
     if guided < -0.005 * total:
         raise NumericalFailure(
-            f"energy bookkeeping failed: radiated {radiated_sum:.6f} exceeds "
+            f"energy bookkeeping failed: radiated {radiated:.6f} exceeds "
             f"total dissipated power {total:.6f} by more than 0.5%"
         )
     guided = max(guided, 0.0)
@@ -355,19 +347,15 @@ def collection_efficiency(spectrum: AngularPowerSpectrum, numerical_aperture):
     return spectrum.cone_power(theta_c) / spectrum.total_power
 
 
-def direct_collection_efficiency(
-    geometry: EmissionGeometry, numerical_aperture, rel_tol=1e-6, im_reg=1e-6
-):
+def direct_collection_efficiency(geometry: EmissionGeometry, numerical_aperture):
     """Collection efficiency without building the full angular pattern."""
     na = float(numerical_aperture)
     if not (0.0 < na <= 1.0):
         raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
-    fields = _CavityFields(geometry, im_reg=im_reg)
-    total = fields.total_power(rel_tol=rel_tol)
+    fields = _CavityFields(geometry)
+    total = fields.total_power()
     theta_c = np.arcsin(na / geometry.upper.exit_index.real)
-    cone = adaptive_integral(
-        lambda th: fields.escape_density(th, "top"), 0.0, theta_c, rel_tol=rel_tol
-    )
+    cone = adaptive_integral(lambda th: fields.escape_density(th, "top"), 0.0, theta_c)
     return float(np.real(cone)) / total
 
 

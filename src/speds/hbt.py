@@ -143,9 +143,9 @@ def correlate(
     Full correlation (every pair counted), not start-stop, so side peaks at
     high repetition rates are unbiased.  Requires bin_width <= window / 50.
     """
-    if window <= 0 or bin_width <= 0 or bin_width > window / 50.0:
+    if not (0.0 < window < np.inf and 0.0 < bin_width <= window / 50.0):
         raise InvalidInput(
-            f"need 0 < bin_width <= window/50, got window={window}, bin={bin_width}"
+            f"need finite 0 < bin_width <= window/50, got window={window}, bin={bin_width}"
         )
     if duration <= 0:
         raise InvalidInput(f"duration must be > 0, got {duration}")

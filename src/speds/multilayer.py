@@ -146,7 +146,8 @@ def stack_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg=0.
     for layer in stack.layers:
         indices.append(layer.refractive_index + 1j * im_reg)
     indices.append(stack.exit_index)
-    kz = [kz_normal(n, k0, kpar) for n in indices]
+    # A Bragg stack repeats two indices: one kz array per distinct medium.
+    kz = {n: kz_normal(n, k0, kpar) for n in set(indices)}
 
     # 2x2 transfer matrix as four broadcastable components.
     m00 = np.ones_like(kpar)
@@ -154,9 +155,10 @@ def stack_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg=0.
     m10 = np.zeros_like(kpar)
     m11 = np.ones_like(kpar)
     for j in range(len(indices) - 1):
-        r, t = _interface_rt(indices[j], indices[j + 1], kz[j], kz[j + 1], polarization)
+        n1, n2 = indices[j], indices[j + 1]
+        r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
         if j < len(stack.layers):
-            delta = kz[j + 1] * stack.layers[j].thickness
+            delta = kz[n2] * stack.layers[j].thickness
             pf = np.exp(-1j * delta)
             pb = np.exp(+1j * delta)
         else:

@@ -305,8 +305,8 @@ def throughput_ratio(collection_gain, rate_gain, qe_factor):
 
 def poisson_photon_record(rate_per_ns, duration_ns, seed, line=LINE_X) -> EmissionRecord:
     """Classical Poissonian reference source (laser-like), for control runs."""
-    if rate_per_ns < 0 or duration_ns <= 0:
-        raise InvalidInput("rate must be >= 0 and duration > 0")
+    if not (0.0 <= rate_per_ns < np.inf and 0.0 < duration_ns < np.inf):
+        raise InvalidInput("rate must be finite and >= 0 and duration finite and > 0")
     rng = np.random.default_rng(seed)
     n = rng.poisson(rate_per_ns * duration_ns)
     times = np.sort(rng.uniform(0.0, duration_ns, n))
@@ -317,6 +317,10 @@ def pulsed_poisson_record(
     repetition_rate_mhz, mean_photons_per_pulse, duration_ns, seed, jitter_ns=0.05, line=LINE_X
 ) -> EmissionRecord:
     """Pulsed classical source: Poisson photon number per pulse, Gaussian spread."""
+    if not (0.0 < repetition_rate_mhz < np.inf and 0.0 < duration_ns < np.inf):
+        raise InvalidInput("repetition rate and duration must be finite and > 0")
+    if not (0.0 <= mean_photons_per_pulse < np.inf and 0.0 <= jitter_ns < np.inf):
+        raise InvalidInput("mean photons per pulse and jitter must be finite and >= 0")
     rng = np.random.default_rng(seed)
     period = 1e3 / repetition_rate_mhz
     n_pulses = int(duration_ns / period)

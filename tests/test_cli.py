@@ -87,6 +87,35 @@ class TestExitCodes:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,preset,override",
+        [
+            ("hbt", "laser_80mhz", {"poisson": {"repetition_rate": 0.0}}),
+            ("hbt", "laser_80mhz", {"poisson": {"repetition_rate": math.nan}}),
+            ("hbt", "laser_80mhz", {"poisson": {"jitter_ns": -1.0}}),
+            ("hbt", "laser_80mhz", {"poisson": {"mean_photons_per_pulse": -0.3}}),
+            ("hbt", "laser_80mhz", {"poisson": {"duration": math.inf}}),
+            ("hbt", "laser_80mhz", {"source": "poisson_dc",
+                                    "poisson": {"rate_per_ns": math.nan, "duration": 1e4}}),
+            ("hbt", "laser_80mhz", {"source": "poisson_dc",
+                                    "poisson": {"rate_per_ns": 0.1, "duration": math.inf}}),
+            ("hbt", "laser_80mhz", {"correlation": {"window": math.inf}}),
+            ("hbt", "laser_80mhz", {"correlation": {"bin_width": math.nan}}),
+            ("emission-pattern", "fig6b_cavity", {"pattern": {"angular_resolution": math.nan}}),
+        ],
+        ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
+             "dc-rate-nan", "dc-duration-inf", "window-inf", "bin-width-nan", "resolution-nan"],
+    )
+    def test_bad_numbers_in_preset_blocks_exit_2(self, tmp_path, capsys, command, preset, override):
+        # a --config block replaces the preset's block, so merge one key into it
+        base = load_preset(preset)
+        config = {key: dict(base.get(key, {}), **value) if isinstance(value, dict) else value
+                  for key, value in override.items()}
+        path = write_config(tmp_path, config)
+        rc = cli.main([command, "--preset", preset, "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalFailure("quadrature did not converge")
@@ -157,9 +186,15 @@ class TestRuns:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        path = write_config(tmp_path, small_hbt_config())
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        for out in (out_a, out_b):
-            assert cli.main(["hbt", "--config", path, "--out", str(out)]) == 0
-        for name in ("histogram.csv", "summary.json"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        runs = [
+            (["hbt", "--config", write_config(tmp_path, small_hbt_config())],
+             ("histogram.csv", "summary.json")),
+            (["emission-pattern", "--preset", "fig6b_cavity"],
+             ("emission_pattern.csv", "summary.json")),
+        ]
+        for i, (args, outputs) in enumerate(runs):
+            out_a, out_b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            for out in (out_a, out_b):
+                assert cli.main([*args, "--out", str(out)]) == 0
+            for name in outputs:
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

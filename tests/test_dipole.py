@@ -92,10 +92,12 @@ class TestBareSurface:
         assert eta == pytest.approx(analytic_no_cavity_efficiency(3.5, 0.5), rel=0.10)
 
     def test_energy_closure(self):
-        spec = emission_pattern(bare_surface_geometry(), angular_resolution=0.25)
-        assert spec.radiated_power() + spec.guided_power == pytest.approx(
-            spec.total_power, rel=1e-6
-        )
+        # at 180/361 degrees 90 degrees is a bin edge; at 0.25 a bin straddles it
+        for resolution in (0.25, 180.0 / 361.0):
+            spec = emission_pattern(bare_surface_geometry(), angular_resolution=resolution)
+            assert spec.radiated_power() + spec.guided_power == pytest.approx(
+                spec.total_power, rel=1e-6
+            )
 
     def test_collection_efficiency_routes_match(self):
         geom = bare_surface_geometry()
@@ -115,6 +117,24 @@ class TestGuidedSpike:
         assert folded.radiated_power() == pytest.approx(folded.total_power, rel=1e-6)
         i90 = np.argmin(np.abs(folded.theta_grid - 90.0))
         assert folded.power_density[i90] > plain.power_density[i90]
+
+
+class TestPatternBins:
+    def test_bin_straddling_90_degrees_sums_both_half_spaces(self):
+        geom = geometry_for(fig5_design(12))
+        spec = emission_pattern(geom, angular_resolution=0.25)
+        i90 = int(np.argmin(np.abs(spec.theta_grid - 90.0)))
+        lo, hi = np.radians([89.875, 90.125])
+        fields = _CavityFields(geom)
+        top = adaptive_integral(
+            lambda th: fields.escape_density(th, "top"), lo, 0.5 * np.pi, rel_tol=1e-12
+        )
+        bottom = adaptive_integral(
+            lambda th: fields.escape_density(np.pi - th, "bottom"), 0.5 * np.pi, hi,
+            rel_tol=1e-12,
+        )
+        assert top > 0 and bottom > 0
+        assert spec.power_density[i90] * (hi - lo) == pytest.approx(top + bottom, rel=1e-10)
 
 
 class TestReciprocityOracle:
