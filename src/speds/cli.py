@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -26,6 +27,45 @@ from .presets import available_presets, load_preset
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# The keys each command reads, by nesting level: None marks a value, a dict a
+# block, and a dataclass a block whose keys are the dataclass fields.
+_leaves = dict.fromkeys
+_QD_SOURCE_KEYS = {
+    "source": None,
+    "model": qd.QDModel,
+    "drive": qd.DriveProgram,
+    "poisson": _leaves(("rate_per_ns", "duration", "repetition_rate",
+                        "mean_photons_per_pulse", "jitter_ns")),
+    "detectors": hbt.DetectorPair,
+    "noise_to_signal_ratio": None,
+    "target_g2_zero": None,
+    "line_filter": None,
+    "correlation": _leaves(("window", "bin_width")),
+}
+_CONFIG_KEYS = {
+    "emission-pattern": {
+        "homogeneous": _leaves(("refractive_index", "vacuum_wavelength")),
+        "design": CavityDesign,
+        "pattern": _leaves(("angular_resolution", "include_guided_spike")),
+        "numerical_aperture": None,
+    },
+    "cavity-sweep": _leaves(("study", "max_periods", "numerical_apertures", "bottom_periods",
+                             "max_top", "numerical_aperture")),
+    "hbt": {
+        **_QD_SOURCE_KEYS,
+        "analysis": {
+            "repetition_rate": None,
+            "m_far": None,
+            "decay_fit": _leaves(("line", "bin_ps", "t_start", "t_stop")),
+        },
+    },
+    "cross-corr": {**_QD_SOURCE_KEYS, "lines": None},
+    "throughput": {
+        "factors": _leaves(("collection_gain", "rate_gain", "qe_factor", "rate_from_mhz",
+                            "qe_window_ns", "qe_tau_ns")),
+    },
+}
 
 
 def _write_json(path, payload):
@@ -60,7 +100,7 @@ def cmd_emission_pattern(config, out_dir):
     )
     csv_path = os.path.join(out_dir, "emission_pattern.csv")
     spectrum.to_csv(csv_path)
-    eta = dipole.direct_collection_efficiency(geometry, na)
+    eta = dipole.direct_collection_efficiency(geometry, na, spectrum.total_power)
     summary = {
         "collection_efficiency": eta,
         "numerical_aperture": na,
@@ -123,14 +163,14 @@ def _record_from_config(config, seed):
         drive = qd.DriveProgram(**config.get("drive", {}))
         return qd.simulate(model, drive, seed), model, drive
     if source == "poisson_dc":
-        p = config.get("poisson", {})
+        p = config["poisson"]
         return (
             qd.poisson_photon_record(p["rate_per_ns"], p["duration"], seed),
             None,
             None,
         )
     if source == "poisson_pulsed":
-        p = config.get("poisson", {})
+        p = config["poisson"]
         return (
             qd.pulsed_poisson_record(
                 p["repetition_rate"],
@@ -256,13 +296,13 @@ def cmd_cross_corr(config, out_dir, seed):
 
 
 def cmd_throughput(config, out_dir):
-    f = dict(config.get("factors", {}))
+    f = config["factors"]
     if "rate_gain" not in f and "rate_from_mhz" in f:
-        new, old = f.pop("rate_from_mhz")
+        new, old = f["rate_from_mhz"]
         f["rate_gain"] = new / old
     if "qe_factor" not in f and "qe_window_ns" in f:
         f["qe_factor"] = qd.quantum_efficiency_factor(
-            f.pop("qe_window_ns"), f.pop("qe_tau_ns")
+            f["qe_window_ns"], f["qe_tau_ns"]
         )
     ratio = qd.throughput_ratio(
         f["collection_gain"], f["rate_gain"], f["qe_factor"]
@@ -296,6 +336,42 @@ def _build_parser():
     return parser
 
 
+class _Block(dict):
+    """A config block that names a missing key by its dotted path."""
+
+    def __init__(self, items, path=""):
+        super().__init__(
+            (key, _Block(value, f"{path}{key}.") if isinstance(value, dict) else value)
+            for key, value in items.items()
+        )
+        self.path = path
+
+    def __missing__(self, key):
+        raise InvalidInput(f"missing config key {self.path}{key}")
+
+
+def _merged(base, overrides):
+    """``base`` with ``overrides`` merged in; a block is merged key by key."""
+    merged = dict(base)
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            value = _merged(merged[key], value)
+        merged[key] = value
+    return merged
+
+
+def _check_keys(block, known, path=""):
+    """Reject the first key, at any nesting level, that the command does not read."""
+    for key, value in block.items():
+        if key not in known:
+            raise InvalidInput(f"unknown config key {path}{key}")
+        sub = known[key]
+        if is_dataclass(sub):
+            sub = _leaves(f.name for f in fields(sub))
+        if sub is not None and isinstance(value, dict):
+            _check_keys(value, sub, f"{path}{key}.")
+
+
 def _load_config(args):
     if args.config is None and args.preset is None:
         raise InvalidInput("provide --preset and/or --config")
@@ -304,14 +380,14 @@ def _load_config(args):
         config = load_preset(args.preset)
     if args.config is not None:
         with open(args.config) as fh:
-            overrides = json.load(fh)
-        config.update(overrides)
+            config = _merged(config, json.load(fh))
     declared = config.get("command")
     if declared is not None and declared != args.command:
         raise InvalidInput(
             f"config is for command {declared!r}, invoked as {args.command!r}"
         )
-    return config
+    _check_keys(config, {"command": None, "seed": None, **_CONFIG_KEYS[args.command]})
+    return _Block(config)
 
 
 def main(argv=None):

@@ -347,13 +347,20 @@ def collection_efficiency(spectrum: AngularPowerSpectrum, numerical_aperture):
     return spectrum.cone_power(theta_c) / spectrum.total_power
 
 
-def direct_collection_efficiency(geometry: EmissionGeometry, numerical_aperture):
-    """Collection efficiency without building the full angular pattern."""
+def direct_collection_efficiency(
+    geometry: EmissionGeometry, numerical_aperture, total_power=None
+):
+    """Collection efficiency without building the full angular pattern.
+
+    ``total_power`` is the geometry's total dissipated power if the caller
+    already has it (``AngularPowerSpectrum.total_power``); otherwise it is
+    integrated here.
+    """
     na = float(numerical_aperture)
     if not (0.0 < na <= 1.0):
         raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
     fields = _CavityFields(geometry)
-    total = fields.total_power()
+    total = fields.total_power() if total_power is None else total_power
     theta_c = np.arcsin(na / geometry.upper.exit_index.real)
     cone = adaptive_integral(lambda th: fields.escape_density(th, "top"), 0.0, theta_c)
     return float(np.real(cone)) / total

@@ -12,8 +12,10 @@ Kinetic Monte Carlo over the states {empty, X, X2, shelved}:
   without emission at ``sweep_rate``; the ``full_reset`` regime additionally
   clears the shelved state, erasing all memory between pulses.
 
-Rates are piecewise constant across pulse edges; waiting times are
-re-drawn at every edge, which is exact for exponential clocks.
+Under DC drive every X decay renews the dot, so the record is built from
+independent emission cycles drawn as arrays.  Under pulsed drive the rates
+are piecewise constant across pulse edges and an event loop re-draws the
+waiting time at every edge, which is exact for exponential clocks.
 """
 
 import warnings
@@ -39,7 +41,8 @@ SWEEP_FULL = "full_reset"
 
 _EMPTY, _X, _X2, _SHELVED = 0, 1, 2, 3
 
-_BLOCK = 1 << 16  # random variates drawn per numpy call in simulate
+_BLOCK = 1 << 16  # random variates drawn per numpy call in the pulsed event loop
+_CYCLES = 1 << 14  # renewal cycles, and at most as many markers, per DC batch
 
 
 def _require_finite(obj):
@@ -213,17 +216,105 @@ def _variates(draw):
     return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_BLOCK))))
 
 
+def _branch_probability(entry, next_state):
+    """Probability that the transition out of a rate-table entry goes to ``next_state``."""
+    total, thresholds, states, _ = entry
+    if total == 0.0:
+        return 0.0
+    probs = np.diff([0.0, *thresholds, 1.0])
+    return float(probs[np.equal(states, next_state)].sum())
+
+
 def simulate(model: QDModel, drive: DriveProgram, seed: int) -> EmissionRecord:
     """Generate a timestamped photon-emission record; deterministic per seed.
 
-    Gillespie's direct method over the rate table of each phase segment.
+    A DC drive is sampled as renewal cycles (``_dc_record``), a pulsed drive
+    by Gillespie's direct method over the rate table of each phase segment
+    (``_pulsed_record``).
     """
     rng = np.random.default_rng(seed)
+    table = _rate_table(model, drive)
+    if drive.mode == MODE_DC:
+        return _dc_record(table[0], drive.duration, rng)
+    return _pulsed_record(table, drive, rng)
+
+
+def _dc_record(row, duration, rng):
+    """DC photon record as i.i.d. renewal cycles, drawn ``_CYCLES`` at a time.
+
+    Under DC drive every X decay is a renewal point.  The cycle that ends at
+    one X photon is: if the previous X decay shelved the dot, M marker
+    photons at Exp(u + m) spacing (M ~ Geometric) and the unshelving dwell
+    Exp(u + m); the capture wait Exp(c); K ~ Geometric X -> X2 -> X loops,
+    each an Exp(c + 1/tau_x) dwell in X and an Exp(1/tau_x2) dwell in X2
+    ending in an X2 photon; and the final Exp(c + 1/tau_x) dwell in X ending
+    in the X photon.  The first cycle starts empty.  Every photon's increment
+    since the previous photon goes into one array, whose cumsum gives the
+    times.  A batch holds at most ``_CYCLES`` markers: the shelved dwell that
+    reaches that count is cut after it and, the dwell being memoryless, the
+    next batch starts shelved.  Rates and branch probabilities come from the
+    DC row of the rate table.
+    """
+    capture = row[_EMPTY][0]
+    if capture == 0.0:
+        return EmissionRecord([], [], duration)
+    shelf_rate = row[_SHELVED][0]
+    # mean dwell that ends in a photon, by line code
+    dwell = np.array([1.0 / row[_X][0], 1.0 / row[_X2][0],
+                      1.0 / shelf_rate if shelf_rate > 0.0 else np.inf])
+    p_loop = _branch_probability(row[_X], _X2)
+    p_shelve = _branch_probability(row[_X], _SHELVED) / (1.0 - p_loop)
+    p_unshelve = _branch_probability(row[_SHELVED], _EMPTY)
+    x, x2, marker = range(len(LINES))
+    batches, t, start_shelved = [], 0.0, False
+    while t < duration:
+        shelved = rng.random(_CYCLES) < p_shelve
+        shelved[0] = start_shelved
+        excitonic = rng.geometric(1.0 - p_loop, _CYCLES)  # X2 photons + the X photon
+        markers = np.zeros(_CYCLES, dtype=np.int64)
+        markers[shelved] = (
+            rng.geometric(p_unshelve, np.count_nonzero(shelved)) - 1
+            if p_unshelve > 0.0 else _CYCLES
+        )
+        budget = np.cumsum(np.minimum(markers, _CYCLES))
+        n = int(np.searchsorted(budget, _CYCLES))  # complete cycles
+        if n < _CYCLES:  # cycle n's shelved dwell fills the marker budget: cut it there
+            markers[n] = _CYCLES - (budget[n - 1] if n else 0)
+            excitonic[n] = 0
+            markers, excitonic = markers[: n + 1], excitonic[: n + 1]
+            start_shelved = True
+        else:
+            start_shelved = rng.random() < p_shelve
+        ends = np.cumsum(markers + excitonic)  # one past each cycle's last photon
+        first = ends - excitonic  # each cycle's first excitonic photon, after its markers
+        codes = np.full(ends[-1], x2, dtype=np.int8)
+        codes[ends[:n] - 1] = x
+        if markers.any():
+            edge = np.zeros(ends[-1] + 1, dtype=np.int8)
+            edge[first - markers] += 1
+            edge[first] -= 1
+            codes[np.cumsum(edge[:-1]) > 0] = marker
+        inc = rng.standard_exponential(codes.size) * dwell[codes]
+        loop = np.flatnonzero(codes == x2)  # an X2 photon also waits out an X dwell
+        inc[loop] += rng.standard_exponential(loop.size) * dwell[x]
+        first = first[:n]
+        inc[first] += rng.standard_exponential(n) / capture
+        unshelved = first[shelved[:n]]
+        inc[unshelved] += rng.standard_exponential(unshelved.size) * dwell[marker]
+        inc[0] += t
+        times = np.cumsum(inc)
+        t = times[-1]
+        batches.append((times, codes))
+    times, codes = (np.concatenate(col) for col in zip(*batches))
+    keep = int(np.searchsorted(times, duration))
+    return EmissionRecord(times[:keep], codes[:keep], duration)
+
+
+def _pulsed_record(table, drive, rng):
+    """Pulsed photon record by Gillespie's direct method, one segment at a time."""
     next_exp = _variates(rng.standard_exponential).__next__
     next_uniform = _variates(rng.random).__next__
-    table = _rate_table(model, drive)
-    duration = drive.duration
-    period = drive.period if drive.mode == MODE_PULSED else duration
+    duration, period = drive.duration, drive.period
     ends = [start for start, _, _ in _phase_schedule(drive)][1:] + [period]
     times, codes = [], []
     state, t = _EMPTY, 0.0

@@ -107,14 +107,34 @@ class TestExitCodes:
              "dc-rate-nan", "dc-duration-inf", "window-inf", "bin-width-nan", "resolution-nan"],
     )
     def test_bad_numbers_in_preset_blocks_exit_2(self, tmp_path, capsys, command, preset, override):
-        # a --config block replaces the preset's block, so merge one key into it
-        base = load_preset(preset)
-        config = {key: dict(base.get(key, {}), **value) if isinstance(value, dict) else value
-                  for key, value in override.items()}
-        path = write_config(tmp_path, config)
+        path = write_config(tmp_path, override)
         rc = cli.main([command, "--preset", preset, "--config", path, "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ({"sede": 3}, "sede"),
+            ({"analysis": {"repetiton_rate": 80, "m_far": 10}}, "analysis.repetiton_rate"),
+            ({"correlation": {"bin_widht": 0.5}}, "correlation.bin_widht"),
+            ({"poisson": {"jiter_ns": 0.1}}, "poisson.jiter_ns"),
+        ],
+        ids=["top-level", "analysis", "correlation", "poisson"],
+    )
+    def test_unknown_config_key_exits_2_before_any_work(self, tmp_path, capsys, override, key):
+        path = write_config(tmp_path, override)
+        out = tmp_path / "out"
+        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key}\n"
+        assert not out.exists()
+
+    def test_missing_key_named_by_dotted_path(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"source": "poisson_dc"})
+        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: missing config key poisson.rate_per_ns\n"
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -131,6 +151,26 @@ class TestExitCodes:
         path = write_config(tmp_path, config)
         rc = cli.main(["cross-corr", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestConfigMerge:
+    def test_config_block_merges_into_preset_block(self, tmp_path):
+        path = write_config(tmp_path, {"poisson": {"repetition_rate": 40.0}})
+        args = cli._build_parser().parse_args(
+            ["hbt", "--preset", "laser_80mhz", "--config", path])
+        config = cli._load_config(args)
+        assert config["poisson"] == dict(load_preset("laser_80mhz")["poisson"],
+                                         repetition_rate=40.0)
+        assert config["analysis"] == load_preset("laser_80mhz")["analysis"]
+        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path,
+                       "--out", str(tmp_path)])
+        assert rc == 0
+
+    @pytest.mark.parametrize("name", available_presets())
+    def test_preset_keys_are_all_known(self, name):
+        command = load_preset(name)["command"]
+        args = cli._build_parser().parse_args([command, "--preset", name])
+        assert cli._load_config(args) == load_preset(name)
 
 
 class TestRuns:

@@ -3,8 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import x_waiting_time_cdf
+from oracles import dc_steady_state, x_waiting_time_cdf
+from speds import qd
 from speds.errors import InvalidInput
+from speds.presets import load_preset
 from speds.qd import (
     LINE_MARKER,
     LINE_X,
@@ -155,22 +157,89 @@ class TestCascade:
         assert frac(strong) > 0.5
 
 
+PHASE_TYPE = dict(tau_x=2.1, tau_x2=0.68, capture_rate=0.8, shelve_probability=0.3,
+                  unshelve_rate=0.2)
+
+
+def assert_phase_type_waits(rec, tau_x, tau_x2, capture_rate, shelve_probability, unshelve_rate):
+    waits = np.diff(rec.times(LINE_X))
+    assert waits.size > 1e5
+    edges = np.array([0.0, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0, 15.0, 25.0, np.inf])
+    cdf = x_waiting_time_cdf(edges[1:-1], tau_x, tau_x2, capture_rate, shelve_probability,
+                             unshelve_rate)
+    probs = np.diff(np.concatenate(([0.0], cdf, [1.0])))
+    observed, _ = np.histogram(waits, bins=edges)
+    expected = probs * waits.size
+    z = (observed - expected) / np.sqrt(expected * (1.0 - probs))
+    assert np.all(np.abs(z) < 3.0), z
+
+
 class TestMasterEquationOracle:
     def test_dc_waiting_time_distribution(self):
-        tau_x, tau_x2, c, sp, u = 2.1, 0.68, 0.8, 0.3, 0.2
-        model = QDModel(
-            tau_x=tau_x, tau_x2=tau_x2, capture_rate=c, shelve_probability=sp, unshelve_rate=u
-        )
-        rec = simulate(model, DriveProgram(mode=MODE_DC, duration=1.2e6), seed=11)
-        waits = np.diff(rec.times(LINE_X))
-        assert waits.size > 1e5
-        edges = np.array([0.0, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0, 15.0, 25.0, np.inf])
-        cdf = x_waiting_time_cdf(edges[1:-1], tau_x, tau_x2, c, sp, u)
-        probs = np.diff(np.concatenate(([0.0], cdf, [1.0])))
-        observed, _ = np.histogram(waits, bins=edges)
-        expected = probs * waits.size
-        z = (observed - expected) / np.sqrt(expected * (1.0 - probs))
-        assert np.all(np.abs(z) < 3.0), z
+        rec = simulate(QDModel(**PHASE_TYPE), DriveProgram(mode=MODE_DC, duration=1.2e6), seed=11)
+        assert_phase_type_waits(rec, **PHASE_TYPE)
+
+
+class TestRenewalSampler:
+    @staticmethod
+    def line_rates(model, duration, seed, n_sub=40):
+        """Per line: measured photons per ns and its SE from equal sub-interval counts."""
+        rec = simulate(model, DriveProgram(mode=MODE_DC, duration=duration), seed)
+        edges = np.linspace(0.0, duration, n_sub + 1)
+        width = duration / n_sub
+        out = {}
+        for line in LINES:
+            counts, _ = np.histogram(rec.times(line), bins=edges)
+            out[line] = (counts.mean() / width, counts.std(ddof=1) / np.sqrt(n_sub) / width)
+        return out
+
+    @pytest.mark.parametrize("cycles", [None, 64], ids=["default-batch", "64-cycle-batch"])
+    @pytest.mark.parametrize(
+        "preset,seed",
+        [("dc_eq1", 51), ("cascade_x2_x", 52), ("exclusion_x_marker", 53)],
+    )
+    def test_line_rates_match_steady_state(self, monkeypatch, preset, seed, cycles):
+        # the counts of a renewal process are not Poisson, so the SE comes
+        # from the spread of the sub-interval counts
+        if cycles is not None:
+            monkeypatch.setattr(qd, "_CYCLES", cycles)
+        model = QDModel(**load_preset(preset)["model"])
+        pi = dc_steady_state(model.tau_x, model.tau_x2, model.capture_rate,
+                             model.shelve_probability, model.unshelve_rate)
+        expected = {LINE_X: pi[1] / model.tau_x, LINE_X2: pi[2] / model.tau_x2,
+                    LINE_MARKER: pi[3] * model.marker_rate}
+        for line, (rate, se) in self.line_rates(model, 1e6, seed).items():
+            if expected[line] == 0.0:
+                assert rate == 0.0
+            else:
+                assert abs(rate - expected[line]) < 4.0 * se, (line, rate, expected[line], se)
+
+    @pytest.mark.parametrize("marker_rate", [0.0, 0.5])
+    def test_permanent_shelving_ends(self, marker_rate):
+        # the first X decay shelves the dot for good; afterwards only the
+        # shelved state's markers (a Poisson process at marker_rate) remain
+        model = QDModel(shelve_probability=1.0, unshelve_rate=0.0, marker_rate=marker_rate)
+        duration = 1e5
+        rec = simulate(model, DriveProgram(mode=MODE_DC, duration=duration), seed=54)
+        (t_x,) = rec.times(LINE_X)
+        markers = rec.times(LINE_MARKER)
+        assert np.all(markers > t_x) and np.all(np.diff(rec.time_ns) > 0)
+        mean = marker_rate * (duration - t_x)
+        assert abs(markers.size - mean) <= 4.0 * np.sqrt(mean)
+        assert rec.time_ns[-1] < duration
+
+    def test_several_batches_follow_the_phase_type_law(self, monkeypatch):
+        monkeypatch.setattr(qd, "_CYCLES", 1000)
+        duration = 1.2e6
+        rec = simulate(QDModel(**PHASE_TYPE), DriveProgram(mode=MODE_DC, duration=duration),
+                       seed=11)
+        assert rec.times(LINE_X).size > 100 * 1000  # over a hundred batches
+        assert_phase_type_waits(rec, **PHASE_TYPE)
+        gaps = np.diff(np.concatenate(([0.0], rec.time_ns, [duration])))
+        assert np.all(gaps > 0.0)
+        # no batch edge leaves a hole: the longest wait is an ordinary one
+        # (an Exp(0.2) shelved dwell beyond 150 ns has probability 1e-13)
+        assert gaps.max() < 150.0
 
 
 class TestDecayProfile:
