@@ -10,11 +10,14 @@ import json
 import os
 import sys
 from dataclasses import fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
 from . import dipole, hbt, qd
 from .designer import (
+    FIG5_PRESET,
+    TOP_MIRROR_PRESET,
     CavityDesign,
     geometry_for,
     optimize_top_mirror,
@@ -43,28 +46,25 @@ _QD_SOURCE_KEYS = {
     "line_filter": None,
     "correlation": _leaves(("window", "bin_width")),
 }
+_THROUGHPUT_FACTORS = ("collection_gain", "rate_gain", "qe_factor")
+_TOP_STUDY_KEYS = ("bottom_periods", "max_top", "numerical_aperture")
 _CONFIG_KEYS = {
     "emission-pattern": {
-        "homogeneous": _leaves(("refractive_index", "vacuum_wavelength")),
+        "homogeneous": _leaves(("refractive_index",)),
         "design": CavityDesign,
         "pattern": _leaves(("angular_resolution", "include_guided_spike")),
         "numerical_aperture": None,
     },
-    "cavity-sweep": _leaves(("study", "max_periods", "numerical_apertures", "bottom_periods",
-                             "max_top", "numerical_aperture")),
+    "cavity-sweep": _leaves(("study", "max_periods", "numerical_apertures", *_TOP_STUDY_KEYS)),
     "hbt": {
         **_QD_SOURCE_KEYS,
         "analysis": {
-            "repetition_rate": None,
             "m_far": None,
             "decay_fit": _leaves(("line", "bin_ps", "t_start", "t_stop")),
         },
     },
     "cross-corr": {**_QD_SOURCE_KEYS, "lines": None},
-    "throughput": {
-        "factors": _leaves(("collection_gain", "rate_gain", "qe_factor", "rate_from_mhz",
-                            "qe_window_ns", "qe_tau_ns")),
-    },
+    "throughput": {"factors": _leaves(_THROUGHPUT_FACTORS)},
 }
 
 
@@ -77,27 +77,18 @@ def _write_json(path, payload):
 def _geometry_from_config(config):
     if "homogeneous" in config:
         n = config["homogeneous"].get("refractive_index", 1.0)
-        lam = config["homogeneous"].get("vacuum_wavelength", DESIGN_WAVELENGTH_NM)
+        lam = DESIGN_WAVELENGTH_NM
         half = LayerStack(n, (), n)
-        source = dipole.DipoleSource(lam, n, lam, lam)
-        return dipole.EmissionGeometry(half, half, source), None
+        return dipole.EmissionGeometry(half, half, dipole.DipoleSource(lam, n, lam, lam))
     if "design" not in config:
         raise InvalidInput("emission-pattern config needs a 'design' or 'homogeneous' block")
-    design = CavityDesign(**config["design"])
-    return geometry_for(design), design
+    return geometry_for(CavityDesign(**config["design"]))
 
 
 def cmd_emission_pattern(config, out_dir):
-    geometry, design = _geometry_from_config(config)
-    pattern_cfg = config.get("pattern", {})
-    na = config.get(
-        "numerical_aperture", design.numerical_aperture if design else 0.5
-    )
-    spectrum = dipole.emission_pattern(
-        geometry,
-        angular_resolution=pattern_cfg.get("angular_resolution", 0.25),
-        include_guided_spike=pattern_cfg.get("include_guided_spike", False),
-    )
+    na = dipole._check_numerical_aperture(config.get("numerical_aperture", 0.5))
+    geometry = _geometry_from_config(config)
+    spectrum = dipole.emission_pattern(geometry, **config.get("pattern", {}))
     csv_path = os.path.join(out_dir, "emission_pattern.csv")
     spectrum.to_csv(csv_path)
     eta = dipole.direct_collection_efficiency(geometry, na, spectrum.total_power)
@@ -117,12 +108,10 @@ def cmd_emission_pattern(config, out_dir):
 def cmd_cavity_sweep(config, out_dir):
     study = config.get("study", "bottom")
     if study == "bottom":
-        max_periods = config.get("max_periods", 25)
-        if max_periods < 1:
-            raise InvalidInput(f"max_periods must be >= 1, got {max_periods}")
-        nas = config.get("numerical_apertures", [0.5])
-        results = sweep_bottom_mirror(max_periods, nas)
-        paths = write_sweep_csvs(out_dir, "fig5_geometry", results)
+        results = sweep_bottom_mirror(
+            config.get("max_periods", 25), config.get("numerical_apertures", [0.5])
+        )
+        paths = write_sweep_csvs(out_dir, FIG5_PRESET, results)
         summary = {}
         for na, res in results.items():
             summary[f"NA={na:g}"] = {
@@ -135,12 +124,8 @@ def cmd_cavity_sweep(config, out_dir):
                 f"eta={100.0 * res.best_efficiency:.4f}%"
             )
     elif study == "top":
-        res = optimize_top_mirror(
-            bottom_periods=config.get("bottom_periods", 12),
-            max_top=config.get("max_top", 10),
-            numerical_aperture=config.get("numerical_aperture", 0.5),
-        )
-        paths = write_sweep_csvs(out_dir, "top_mirror_geometry", res)
+        res = optimize_top_mirror(**{k: config[k] for k in _TOP_STUDY_KEYS if k in config})
+        paths = write_sweep_csvs(out_dir, TOP_MIRROR_PRESET, res)
         summary = {
             "argmax_top_periods": res.best_parameter,
             "best_efficiency": res.best_efficiency,
@@ -156,32 +141,35 @@ def cmd_cavity_sweep(config, out_dir):
     return 0
 
 
-def _record_from_config(config, seed):
+def _source_from_config(config):
+    """The configured photon source, built and checked but not yet sampled.
+
+    Returns ``(sample, repetition_rate, pulsed_drive)``: ``sample(seed)`` draws
+    the ``EmissionRecord``; the repetition rate (MHz) is None for a DC source,
+    and the drive is the qd source's pulsed ``DriveProgram``, else None.
+    """
     source = config.get("source", "qd")
     if source == "qd":
         model = qd.QDModel(**config.get("model", {}))
         drive = qd.DriveProgram(**config.get("drive", {}))
-        return qd.simulate(model, drive, seed), model, drive
+        sample = partial(qd.simulate, model, drive)
+        if drive.mode == qd.MODE_PULSED:
+            return sample, drive.repetition_rate, drive
+        return sample, None, None
     if source == "poisson_dc":
         p = config["poisson"]
-        return (
-            qd.poisson_photon_record(p["rate_per_ns"], p["duration"], seed),
-            None,
-            None,
-        )
+        return partial(qd.poisson_photon_record, p["rate_per_ns"], p["duration"]), None, None
     if source == "poisson_pulsed":
         p = config["poisson"]
-        return (
-            qd.pulsed_poisson_record(
-                p["repetition_rate"],
-                p["mean_photons_per_pulse"],
-                p["duration"],
-                seed,
-                jitter_ns=p.get("jitter_ns", 0.05),
-            ),
-            None,
-            None,
+        jitter = {"jitter_ns": p["jitter_ns"]} if "jitter_ns" in p else {}
+        sample = partial(
+            qd.pulsed_poisson_record,
+            p["repetition_rate"],
+            p["mean_photons_per_pulse"],
+            p["duration"],
+            **jitter,
         )
+        return sample, p["repetition_rate"], None
     raise InvalidInput(f"unknown source {source!r}")
 
 
@@ -200,7 +188,15 @@ def _detectors_from_config(config, signal_per_ns):
 
 
 def cmd_hbt(config, out_dir, seed):
-    record, model, drive = _record_from_config(config, seed)
+    sample, repetition_rate, drive = _source_from_config(config)
+    analysis = config.get("analysis", {})
+    if "m_far" in analysis and repetition_rate is None:
+        raise InvalidInput(
+            "analysis.m_far needs a pulsed source: peak areas are read at its repetition rate"
+        )
+    if "decay_fit" in analysis and drive is None:
+        raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
+    record = sample(seed)
     line = config.get("line_filter")
     signal_per_ns = record.times(line).size / record.duration
     detectors, noise_ratio = _detectors_from_config(config, signal_per_ns)
@@ -217,7 +213,6 @@ def cmd_hbt(config, out_dir, seed):
         source_lines=(line, line),
     )
     hist.to_csv(os.path.join(out_dir, "histogram.csv"))
-    outputs = ["histogram.csv"]
 
     noise_per_ns = 2.0 * detectors.noise_rate_per_arm
     summary = {
@@ -233,20 +228,15 @@ def cmd_hbt(config, out_dir, seed):
     if noise_ratio is not None:
         summary["noise_to_signal_ratio"] = noise_ratio
 
-    analysis = config.get("analysis", {})
-    if "repetition_rate" in analysis:
-        areas = hbt.peak_area_analysis(
-            hist, analysis["repetition_rate"], m_far=analysis.get("m_far", 10)
-        )
+    if "m_far" in analysis:
+        areas = hbt.peak_area_analysis(hist, repetition_rate, m_far=analysis["m_far"])
         areas.to_csv(os.path.join(out_dir, "peak_areas.csv"))
-        outputs.append("peak_areas.csv")
         summary["peak_area_zero"] = areas.area(0)
         summary["peak_area_one"] = areas.area(1)
-    fit_cfg = analysis.get("decay_fit")
-    if fit_cfg and drive is not None:
-        centers, counts = qd.decay_profile(
-            record, drive, line=fit_cfg.get("line", qd.LINE_X), bin_ps=fit_cfg.get("bin_ps", 50.0)
-        )
+    if "decay_fit" in analysis:
+        fit_cfg = analysis["decay_fit"]
+        profile_cfg = {k: v for k, v in fit_cfg.items() if k in ("line", "bin_ps")}
+        centers, counts = qd.decay_profile(record, drive, **profile_cfg)
         summary["fitted_decay_ns"] = qd.fit_decay_time(
             centers, counts, fit_cfg["t_start"], fit_cfg["t_stop"]
         )
@@ -262,7 +252,8 @@ def cmd_cross_corr(config, out_dir, seed):
     lines = config.get("lines")
     if not lines or len(lines) != 2:
         raise InvalidInput("cross-corr config needs 'lines': [start_line, stop_line]")
-    record, _, _ = _record_from_config(config, seed)
+    sample, _, _ = _source_from_config(config)
+    record = sample(seed)
     signal_per_ns = record.times(config.get("line_filter")).size / record.duration
     detectors, _ = _detectors_from_config(config, signal_per_ns)
     corr_cfg = config["correlation"]
@@ -296,27 +287,12 @@ def cmd_cross_corr(config, out_dir, seed):
 
 
 def cmd_throughput(config, out_dir):
-    f = config["factors"]
-    if "rate_gain" not in f and "rate_from_mhz" in f:
-        new, old = f["rate_from_mhz"]
-        f["rate_gain"] = new / old
-    if "qe_factor" not in f and "qe_window_ns" in f:
-        f["qe_factor"] = qd.quantum_efficiency_factor(
-            f["qe_window_ns"], f["qe_tau_ns"]
-        )
-    ratio = qd.throughput_ratio(
-        f["collection_gain"], f["rate_gain"], f["qe_factor"]
-    )
-    summary = {
-        "collection_gain": f["collection_gain"],
-        "rate_gain": f["rate_gain"],
-        "qe_factor": f["qe_factor"],
-        "throughput_ratio": ratio,
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    factors = {k: config["factors"][k] for k in _THROUGHPUT_FACTORS}
+    ratio = qd.throughput_ratio(**factors)
+    _write_json(os.path.join(out_dir, "summary.json"), {**factors, "throughput_ratio": ratio})
     print(
-        f"collection x{f['collection_gain']:g} * rate x{f['rate_gain']:g} * "
-        f"QE x{f['qe_factor']:g} = {ratio:g}"
+        f"collection x{factors['collection_gain']:g} * rate x{factors['rate_gain']:g} * "
+        f"QE x{factors['qe_factor']:g} = {ratio:g}"
     )
     return 0
 
@@ -380,7 +356,13 @@ def _load_config(args):
         config = load_preset(args.preset)
     if args.config is not None:
         with open(args.config) as fh:
-            config = _merged(config, json.load(fh))
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise InvalidInput(
+                f"config {args.config} must hold a JSON object, "
+                f"not a {type(overrides).__name__}"
+            )
+        config = _merged(config, overrides)
     declared = config.get("command")
     if declared is not None and declared != args.command:
         raise InvalidInput(
@@ -395,7 +377,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInput(f"cannot create output directory: {exc}") from exc
         seed = args.seed if args.seed is not None else config.get("seed", 0)
         if args.command == "emission-pattern":
             return cmd_emission_pattern(config, args.out)

@@ -12,13 +12,19 @@ Two geometry presets are built in:
 """
 
 import csv
+import numbers
 import os
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from .dipole import DipoleSource, EmissionGeometry, direct_collection_efficiency
+from .dipole import (
+    DipoleSource,
+    EmissionGeometry,
+    _check_numerical_aperture,
+    direct_collection_efficiency,
+)
 from .errors import InvalidInput
 from .multilayer import DESIGN_WAVELENGTH_NM, N_ALAS, N_GAAS, LayerStack, build_bragg
 
@@ -32,8 +38,6 @@ class CavityDesign:
     top_periods: int = 0
     cavity_order: float = 3.0  # optical cavity length in design wavelengths
     dipole_depth_below_surface: float = 2.0  # in design wavelengths (optical)
-    numerical_aperture: float = 0.5
-    design_wavelength: float = DESIGN_WAVELENGTH_NM
 
     def __post_init__(self):
         if self.bottom_periods < 0 or self.top_periods < 0:
@@ -46,10 +50,6 @@ class CavityDesign:
             raise InvalidInput(
                 "dipole depth must lie strictly inside the cavity "
                 f"(0, {self.cavity_order}), got {self.dipole_depth_below_surface}"
-            )
-        if not (0.0 < self.numerical_aperture <= 1.0):
-            raise InvalidInput(
-                f"numerical aperture must be in (0, 1], got {self.numerical_aperture}"
             )
 
 
@@ -87,9 +87,11 @@ def geometry_for(design: CavityDesign) -> EmissionGeometry:
     """Planar emission geometry for a cavity design.
 
     Distances are optical: a depth of d design-wavelengths corresponds to a
-    physical GaAs thickness d * lambda / n_GaAs.
+    physical GaAs thickness d * lambda / n_GaAs.  Every medium is
+    dispersionless and every length scales with lambda, so the design
+    wavelength sets the length unit only.
     """
-    lam = design.design_wavelength
+    lam = DESIGN_WAVELENGTH_NM
     lam_in_medium = lam / N_GAAS
     d_up = design.dipole_depth_below_surface * lam_in_medium
     d_dn = (design.cavity_order - design.dipole_depth_below_surface) * lam_in_medium
@@ -106,27 +108,21 @@ def geometry_for(design: CavityDesign) -> EmissionGeometry:
     return EmissionGeometry(upper, lower, source)
 
 
-def fig5_design(bottom_periods, numerical_aperture=0.5, design_wavelength=DESIGN_WAVELENGTH_NM):
+def fig5_design(bottom_periods):
     return CavityDesign(
         bottom_periods=bottom_periods,
         top_periods=0,
         cavity_order=3.0,
         dipole_depth_below_surface=2.0,
-        numerical_aperture=numerical_aperture,
-        design_wavelength=design_wavelength,
     )
 
 
-def top_mirror_design(
-    top_periods, bottom_periods=12, numerical_aperture=0.5, design_wavelength=DESIGN_WAVELENGTH_NM
-):
+def top_mirror_design(top_periods, bottom_periods=12):
     return CavityDesign(
         bottom_periods=bottom_periods,
         top_periods=top_periods,
         cavity_order=1.0,
         dipole_depth_below_surface=0.5,
-        numerical_aperture=numerical_aperture,
-        design_wavelength=design_wavelength,
     )
 
 
@@ -135,16 +131,17 @@ def sweep_bottom_mirror(max_periods, numerical_apertures: Sequence[float]):
 
     Returns {numerical_aperture: SweepResult} with N = 0..max_periods.
     """
-    if max_periods < 12:
-        raise InvalidInput(f"max_periods must be >= 12, got {max_periods}")
-    results = {}
-    for na in numerical_apertures:
-        etas = []
-        for n in range(max_periods + 1):
-            geom = geometry_for(fig5_design(n, na))
-            etas.append(direct_collection_efficiency(geom, na))
-        results[float(na)] = SweepResult(list(range(max_periods + 1)), etas)
-    return results
+    if not isinstance(max_periods, numbers.Integral) or max_periods < 12:
+        raise InvalidInput(f"max_periods must be an integer >= 12, got {max_periods!r}")
+    if len(numerical_apertures) == 0:
+        raise InvalidInput("numerical_apertures must list at least one aperture")
+    nas = [_check_numerical_aperture(na) for na in numerical_apertures]
+    periods = list(range(max_periods + 1))
+    geometries = [geometry_for(fig5_design(n)) for n in periods]
+    return {
+        na: SweepResult(periods, [direct_collection_efficiency(g, na) for g in geometries])
+        for na in nas
+    }
 
 
 def optimize_top_mirror(bottom_periods=12, max_top=10, numerical_aperture=0.5):
@@ -153,7 +150,7 @@ def optimize_top_mirror(bottom_periods=12, max_top=10, numerical_aperture=0.5):
         raise InvalidInput("period counts must be >= 0")
     etas = []
     for t in range(max_top + 1):
-        geom = geometry_for(top_mirror_design(t, bottom_periods, numerical_aperture))
+        geom = geometry_for(top_mirror_design(t, bottom_periods))
         etas.append(direct_collection_efficiency(geom, numerical_aperture))
     return SweepResult(list(range(max_top + 1)), etas)
 

@@ -76,6 +76,14 @@ def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, orde
     )
 
 
+def _check_numerical_aperture(numerical_aperture):
+    """The numerical aperture as a float, checked to lie in (0, 1]."""
+    na = float(numerical_aperture)
+    if not (0.0 < na <= 1.0):
+        raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
+    return na
+
+
 def _bin_edges_rad(theta_deg):
     """Edges of the bins around each grid angle: the midpoints between
     neighbours, closed by the grid's end points."""
@@ -340,9 +348,7 @@ def emission_pattern(
 
 def collection_efficiency(spectrum: AngularPowerSpectrum, numerical_aperture):
     """Fraction of total power radiated into the top-side collection cone."""
-    na = float(numerical_aperture)
-    if not (0.0 < na <= 1.0):
-        raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
+    na = _check_numerical_aperture(numerical_aperture)
     theta_c = np.degrees(np.arcsin(na))
     return spectrum.cone_power(theta_c) / spectrum.total_power
 
@@ -356,9 +362,7 @@ def direct_collection_efficiency(
     already has it (``AngularPowerSpectrum.total_power``); otherwise it is
     integrated here.
     """
-    na = float(numerical_aperture)
-    if not (0.0 < na <= 1.0):
-        raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
+    na = _check_numerical_aperture(numerical_aperture)
     fields = _CavityFields(geometry)
     total = fields.total_power() if total_power is None else total_power
     theta_c = np.arcsin(na / geometry.upper.exit_index.real)
@@ -371,11 +375,9 @@ def analytic_no_cavity_efficiency(n, numerical_aperture):
     surface: normal-incidence Fresnel transmission times the in-plane dipole
     power within the internal escape cone."""
     n = float(n)
-    na = float(numerical_aperture)
     if n <= 1.0:
         raise InvalidInput(f"host index must exceed 1, got {n}")
-    if not (0.0 < na <= 1.0):
-        raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
+    na = _check_numerical_aperture(numerical_aperture)
     c = np.cos(np.arcsin(na / n))
     fresnel = 1.0 - ((n - 1.0) / (n + 1.0)) ** 2
     return fresnel * (0.5 - 0.375 * c - 0.125 * c ** 3)

@@ -102,9 +102,12 @@ class TestExitCodes:
             ("hbt", "laser_80mhz", {"correlation": {"window": math.inf}}),
             ("hbt", "laser_80mhz", {"correlation": {"bin_width": math.nan}}),
             ("emission-pattern", "fig6b_cavity", {"pattern": {"angular_resolution": math.nan}}),
+            ("cavity-sweep", "fig5_sweep", {"numerical_apertures": []}),
+            ("cavity-sweep", "fig5_sweep", {"max_periods": 12.5}),
         ],
         ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
-             "dc-rate-nan", "dc-duration-inf", "window-inf", "bin-width-nan", "resolution-nan"],
+             "dc-rate-nan", "dc-duration-inf", "window-inf", "bin-width-nan", "resolution-nan",
+             "no-apertures", "fractional-periods"],
     )
     def test_bad_numbers_in_preset_blocks_exit_2(self, tmp_path, capsys, command, preset, override):
         path = write_config(tmp_path, override)
@@ -119,8 +122,9 @@ class TestExitCodes:
             ({"analysis": {"repetiton_rate": 80, "m_far": 10}}, "analysis.repetiton_rate"),
             ({"correlation": {"bin_widht": 0.5}}, "correlation.bin_widht"),
             ({"poisson": {"jiter_ns": 0.1}}, "poisson.jiter_ns"),
+            ({"analysis": {"repetition_rate": 80.0}}, "analysis.repetition_rate"),
         ],
-        ids=["top-level", "analysis", "correlation", "poisson"],
+        ids=["top-level", "analysis", "correlation", "poisson", "analysis-repetition-rate"],
     )
     def test_unknown_config_key_exits_2_before_any_work(self, tmp_path, capsys, override, key):
         path = write_config(tmp_path, override)
@@ -129,6 +133,73 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == f"error: unknown config key {key}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,preset,override,key",
+        [
+            ("emission-pattern", "fig6b_cavity", {"design": {"numerical_aperture": 0.5}},
+             "design.numerical_aperture"),
+            ("emission-pattern", "homogeneous", {"homogeneous": {"vacuum_wavelength": 500.0}},
+             "homogeneous.vacuum_wavelength"),
+            ("throughput", "throughput_ghz", {"factors": {"rate_from_mhz": [1070.0, 80.0]}},
+             "factors.rate_from_mhz"),
+        ],
+        ids=["design-aperture", "homogeneous-wavelength", "rate-from-mhz"],
+    )
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, command, preset, override, key):
+        path = write_config(tmp_path, override)
+        rc = cli.main([command, "--preset", preset, "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key}\n"
+
+    @pytest.mark.parametrize(
+        "preset,override,key",
+        [
+            ("dc_eq1", {"analysis": {"m_far": 10}}, "analysis.m_far"),
+            ("laser_80mhz", {"analysis": {"decay_fit": {"t_start": 1.5, "t_stop": 9.0}}},
+             "analysis.decay_fit"),
+        ],
+        ids=["peak-areas-on-dc", "decay-fit-on-poisson"],
+    )
+    def test_analysis_without_a_pulsed_source_exits_2_before_sampling(
+        self, tmp_path, capsys, monkeypatch, preset, override, key
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the source was sampled")
+
+        for name in ("simulate", "poisson_photon_record", "pulsed_poisson_record"):
+            monkeypatch.setattr(cli.qd, name, never)
+        path = write_config(tmp_path, override)
+        rc = cli.main(["hbt", "--preset", preset, "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_bad_numerical_aperture_fails_fast(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the pattern was computed")
+
+        monkeypatch.setattr(cli.dipole, "emission_pattern", never)
+        path = write_config(tmp_path, {"numerical_aperture": 1.5})
+        start = time.perf_counter()
+        rc = cli.main(["emission-pattern", "--preset", "fig6b_cavity", "--config", path,
+                       "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        assert rc == 2
+        assert elapsed < 0.1
+        assert "numerical aperture" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, [1, 2])
+        rc = cli.main(["throughput", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main(["throughput", "--preset", "throughput_ghz", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
     def test_missing_key_named_by_dotted_path(self, tmp_path, capsys):
         path = write_config(tmp_path, {"source": "poisson_dc"})
@@ -155,12 +226,16 @@ class TestExitCodes:
 
 class TestConfigMerge:
     def test_config_block_merges_into_preset_block(self, tmp_path):
-        path = write_config(tmp_path, {"poisson": {"repetition_rate": 40.0}})
+        # at 40 MHz the far peaks |m| >= 10 need a window of at least 262.5 ns
+        path = write_config(tmp_path, {"poisson": {"repetition_rate": 40.0},
+                                       "correlation": {"window": 320.0}})
         args = cli._build_parser().parse_args(
             ["hbt", "--preset", "laser_80mhz", "--config", path])
         config = cli._load_config(args)
         assert config["poisson"] == dict(load_preset("laser_80mhz")["poisson"],
                                          repetition_rate=40.0)
+        assert config["correlation"] == dict(load_preset("laser_80mhz")["correlation"],
+                                             window=320.0)
         assert config["analysis"] == load_preset("laser_80mhz")["analysis"]
         rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path,
                        "--out", str(tmp_path)])
@@ -205,13 +280,23 @@ class TestRuns:
             "poisson": {"repetition_rate": 80.0, "mean_photons_per_pulse": 0.3,
                         "duration": 1e5},
             "correlation": {"window": 160.0, "bin_width": 1.0},
-            "analysis": {"repetition_rate": 80.0},
+            "analysis": {"m_far": 10},
             "seed": 6,
         }
         path = write_config(tmp_path, config)
         rc = cli.main(["hbt", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "peak_areas.csv").exists()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["peak_area_one"] == pytest.approx(1.0, abs=0.2)
+
+    def test_peak_areas_read_at_the_source_rate(self, tmp_path):
+        # a 40 MHz source read at 80 MHz would leave every odd peak empty
+        path = write_config(tmp_path, {"poisson": {"repetition_rate": 40.0},
+                                       "correlation": {"window": 320.0}})
+        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path,
+                       "--out", str(tmp_path)])
+        assert rc == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["peak_area_one"] == pytest.approx(1.0, abs=0.2)
 

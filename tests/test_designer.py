@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speds import designer
 from speds.designer import (
     CavityDesign,
     SweepResult,
@@ -59,6 +60,21 @@ class TestSweeps:
         with pytest.raises(InvalidInput):
             sweep_bottom_mirror(5, [0.5])
 
+    @pytest.mark.parametrize(
+        "max_periods,nas,key",
+        [(12.5, [0.5], "max_periods"), (12, [], "numerical_apertures"),
+         (12, [0.5, 1.5], "numerical aperture")],
+    )
+    def test_bottom_sweep_rejects_bad_inputs_before_any_design(
+        self, monkeypatch, max_periods, nas, key
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a design was evaluated")
+
+        monkeypatch.setattr(designer, "direct_collection_efficiency", never)
+        with pytest.raises(InvalidInput, match=key):
+            sweep_bottom_mirror(max_periods, nas)
+
     def test_bottom_sweep_values(self):
         results = sweep_bottom_mirror(12, [0.5])
         res = results[0.5]
@@ -87,7 +103,8 @@ class TestCsv:
         res = SweepResult([0, 1], [0.01, 0.02])
         paths = write_sweep_csvs(tmp_path, "top_mirror_geometry", res)
         assert len(paths) == 1
-        text = open(paths[0]).read()
+        with open(paths[0]) as fh:
+            text = fh.read()
         assert text.splitlines()[0] == "periods,efficiency"
         assert "1,2.00000000e-02" in text
 
