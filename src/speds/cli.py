@@ -1,7 +1,7 @@
 """Command-line front end: presets and custom JSON configs to CSV/JSON results.
 
-Subcommands: emission-pattern, cavity-sweep, hbt, cross-corr, throughput.
-Every run is deterministic given (config, seed); all outputs land in --out.
+One subcommand per entry of ``_COMMANDS``.  Every run is deterministic given
+(config, seed); all outputs land in --out, and a run that fails writes none.
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
 
@@ -22,7 +22,6 @@ from .designer import (
     geometry_for,
     optimize_top_mirror,
     sweep_bottom_mirror,
-    write_sweep_csvs,
 )
 from .errors import InvalidInput, NumericalFailure, UnsupportedInput
 from .multilayer import DESIGN_WAVELENGTH_NM, LayerStack
@@ -31,8 +30,6 @@ from .presets import available_presets, load_preset
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# The keys each command reads, by nesting level: None marks a value, a dict a
-# block, and a dataclass a block whose keys are the dataclass fields.
 _leaves = dict.fromkeys
 _QD_SOURCE_KEYS = {
     "source": None,
@@ -47,31 +44,10 @@ _QD_SOURCE_KEYS = {
     "correlation": _leaves(("window", "bin_width")),
 }
 _THROUGHPUT_FACTORS = ("collection_gain", "rate_gain", "qe_factor")
-_TOP_STUDY_KEYS = ("bottom_periods", "max_top", "numerical_aperture")
-_CONFIG_KEYS = {
-    "emission-pattern": {
-        "homogeneous": _leaves(("refractive_index",)),
-        "design": CavityDesign,
-        "pattern": _leaves(("angular_resolution", "include_guided_spike")),
-        "numerical_aperture": None,
-    },
-    "cavity-sweep": _leaves(("study", "max_periods", "numerical_apertures", *_TOP_STUDY_KEYS)),
-    "hbt": {
-        **_QD_SOURCE_KEYS,
-        "analysis": {
-            "m_far": None,
-            "decay_fit": _leaves(("line", "bin_ps", "t_start", "t_stop")),
-        },
-    },
-    "cross-corr": {**_QD_SOURCE_KEYS, "lines": None},
-    "throughput": {"factors": _leaves(_THROUGHPUT_FACTORS)},
+_SWEEP_STUDIES = {
+    "bottom": _leaves(("max_periods", "numerical_apertures")),
+    "top": _leaves(("bottom_periods", "max_top", "numerical_aperture")),
 }
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _geometry_from_config(config):
@@ -81,16 +57,19 @@ def _geometry_from_config(config):
         half = LayerStack(n, (), n)
         return dipole.EmissionGeometry(half, half, dipole.DipoleSource(lam, n, lam, lam))
     if "design" not in config:
-        raise InvalidInput("emission-pattern config needs a 'design' or 'homogeneous' block")
+        raise InvalidInput("config needs a 'design' or 'homogeneous' block")
     return geometry_for(CavityDesign(**config["design"]))
 
 
-def cmd_emission_pattern(config, out_dir):
+# Each handler maps (config, seed) to (summary, files, text): ``files`` maps
+# each CSV name to the result whose ``to_csv`` writes it, in write order, and
+# ``text`` is what the run prints.  Only ``main`` writes.
+
+
+def cmd_emission_pattern(config, seed):
     na = dipole._check_numerical_aperture(config.get("numerical_aperture", 0.5))
     geometry = _geometry_from_config(config)
     spectrum = dipole.emission_pattern(geometry, **config.get("pattern", {}))
-    csv_path = os.path.join(out_dir, "emission_pattern.csv")
-    spectrum.to_csv(csv_path)
     eta = dipole.direct_collection_efficiency(geometry, na, spectrum.total_power)
     summary = {
         "collection_efficiency": eta,
@@ -98,47 +77,45 @@ def cmd_emission_pattern(config, out_dir):
         "total_power": spectrum.total_power,
         "guided_power": spectrum.guided_power,
         "radiated_power": spectrum.radiated_power(),
-        "outputs": ["emission_pattern.csv"],
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    print(f"eta(NA={na:g}) = {100.0 * eta:.4f}%")
-    return 0
+    return summary, {"emission_pattern.csv": spectrum}, f"eta(NA={na:g}) = {100.0 * eta:.4f}%"
 
 
-def cmd_cavity_sweep(config, out_dir):
+def _sweep_keys(config):
+    """The keys of the sweep study a config names."""
     study = config.get("study", "bottom")
-    if study == "bottom":
-        results = sweep_bottom_mirror(
-            config.get("max_periods", 25), config.get("numerical_apertures", [0.5])
-        )
-        paths = write_sweep_csvs(out_dir, FIG5_PRESET, results)
-        summary = {}
-        for na, res in results.items():
-            summary[f"NA={na:g}"] = {
-                "argmax_periods": res.best_parameter,
-                "best_efficiency": res.best_efficiency,
-                "asymptote_efficiency": res.efficiencies[-1],
-            }
-            print(
-                f"NA={na:g}: argmax N={res.best_parameter}, "
-                f"eta={100.0 * res.best_efficiency:.4f}%"
-            )
-    elif study == "top":
-        res = optimize_top_mirror(**{k: config[k] for k in _TOP_STUDY_KEYS if k in config})
-        paths = write_sweep_csvs(out_dir, TOP_MIRROR_PRESET, res)
+    if study not in _SWEEP_STUDIES:
+        raise InvalidInput(f"study must be 'bottom' or 'top', got {study!r}")
+    return {"study": None, **_SWEEP_STUDIES[study]}
+
+
+def cmd_cavity_sweep(config, seed):
+    study = config.get("study", "bottom")
+    keys = {k: config[k] for k in _SWEEP_STUDIES[study] if k in config}
+    if study == "top":
+        res = optimize_top_mirror(**keys)
         summary = {
             "argmax_top_periods": res.best_parameter,
             "best_efficiency": res.best_efficiency,
         }
-        print(
+        text = (
             f"argmax top periods = {res.best_parameter}, "
             f"eta = {100.0 * res.best_efficiency:.4f}%"
         )
-    else:
-        raise InvalidInput(f"study must be 'bottom' or 'top', got {study!r}")
-    summary["outputs"] = [os.path.basename(p) for p in paths]
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return 0
+        return summary, {f"{TOP_MIRROR_PRESET}.csv": res}, text
+    summary, files, lines = {}, {}, []
+    for na, res in sweep_bottom_mirror(**keys).items():
+        files[f"{FIG5_PRESET}_NA{na:g}.csv"] = res
+        summary[f"NA={na:g}"] = {
+            "argmax_periods": res.best_parameter,
+            "best_efficiency": res.best_efficiency,
+            "asymptote_efficiency": res.efficiencies[-1],
+        }
+        lines.append(
+            f"NA={na:g}: argmax N={res.best_parameter}, "
+            f"eta={100.0 * res.best_efficiency:.4f}%"
+        )
+    return summary, files, "\n".join(lines)
 
 
 def _source_from_config(config):
@@ -187,15 +164,18 @@ def _detectors_from_config(config, signal_per_ns):
     return hbt.DetectorPair(**det_cfg), ratio
 
 
-def cmd_hbt(config, out_dir, seed):
+def cmd_hbt(config, seed):
     sample, repetition_rate, drive = _source_from_config(config)
     analysis = config.get("analysis", {})
     if "m_far" in analysis and repetition_rate is None:
         raise InvalidInput(
             "analysis.m_far needs a pulsed source: peak areas are read at its repetition rate"
         )
-    if "decay_fit" in analysis and drive is None:
-        raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
+    if "decay_fit" in analysis:
+        if drive is None:
+            raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
+        fit_cfg = analysis["decay_fit"]
+        qd._decay_bin_count(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
     record = sample(seed)
     line = config.get("line_filter")
     signal_per_ns = record.times(line).size / record.duration
@@ -212,7 +192,7 @@ def cmd_hbt(config, out_dir, seed):
         record.duration,
         source_lines=(line, line),
     )
-    hist.to_csv(os.path.join(out_dir, "histogram.csv"))
+    files = {"histogram.csv": hist}
 
     noise_per_ns = 2.0 * detectors.noise_rate_per_arm
     summary = {
@@ -221,37 +201,33 @@ def cmd_hbt(config, out_dir, seed):
         "signal_rate_per_ns": signal_per_ns,
         "noise_rate_per_ns": noise_per_ns,
         "g2_zero_measured": hist.g2_at(0.0),
-        "g2_zero_eq1_prediction": hbt.g2_zero_closed_form(
-            signal_per_ns, noise_per_ns, 0.0
-        ),
+        "g2_zero_eq1_prediction": hbt.g2_zero_closed_form(signal_per_ns, noise_per_ns),
     }
     if noise_ratio is not None:
         summary["noise_to_signal_ratio"] = noise_ratio
 
     if "m_far" in analysis:
         areas = hbt.peak_area_analysis(hist, repetition_rate, m_far=analysis["m_far"])
-        areas.to_csv(os.path.join(out_dir, "peak_areas.csv"))
+        files["peak_areas.csv"] = areas
         summary["peak_area_zero"] = areas.area(0)
         summary["peak_area_one"] = areas.area(1)
     if "decay_fit" in analysis:
-        fit_cfg = analysis["decay_fit"]
         profile_cfg = {k: v for k, v in fit_cfg.items() if k in ("line", "bin_ps")}
         centers, counts = qd.decay_profile(record, drive, **profile_cfg)
         summary["fitted_decay_ns"] = qd.fit_decay_time(
             centers, counts, fit_cfg["t_start"], fit_cfg["t_stop"]
         )
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    print(
+    text = (
         f"g2(0) measured = {summary['g2_zero_measured']:.4f}, "
         f"Eq.(1) prediction = {summary['g2_zero_eq1_prediction']:.4f}"
     )
-    return 0
+    return summary, files, text
 
 
-def cmd_cross_corr(config, out_dir, seed):
+def cmd_cross_corr(config, seed):
     lines = config.get("lines")
     if not lines or len(lines) != 2:
-        raise InvalidInput("cross-corr config needs 'lines': [start_line, stop_line]")
+        raise InvalidInput("config needs 'lines': [start_line, stop_line]")
     sample, _, _ = _source_from_config(config)
     record = sample(seed)
     signal_per_ns = record.times(config.get("line_filter")).size / record.duration
@@ -266,7 +242,6 @@ def cmd_cross_corr(config, out_dir, seed):
         corr_cfg["window"],
         corr_cfg["bin_width"],
     )
-    hist.to_csv(os.path.join(out_dir, "histogram.csv"))
     g2 = hist.g2()
     pos = hist.tau_centers > 0
     summary = {
@@ -276,25 +251,48 @@ def cmd_cross_corr(config, out_dir, seed):
         "g2_max_positive_tau": float(np.max(g2[pos])),
         "g2_min_negative_tau": float(np.min(g2[~pos])),
         "g2_zero": hist.g2_at(0.0),
-        "outputs": ["histogram.csv"],
     }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    print(
-        f"cross-correlation {lines[0]} -> {lines[1]}: "
-        f"g2(0) = {summary['g2_zero']:.4f}"
-    )
-    return 0
+    text = f"cross-correlation {lines[0]} -> {lines[1]}: g2(0) = {summary['g2_zero']:.4f}"
+    return summary, {"histogram.csv": hist}, text
 
 
-def cmd_throughput(config, out_dir):
+def cmd_throughput(config, seed):
     factors = {k: config["factors"][k] for k in _THROUGHPUT_FACTORS}
     ratio = qd.throughput_ratio(**factors)
-    _write_json(os.path.join(out_dir, "summary.json"), {**factors, "throughput_ratio": ratio})
-    print(
+    text = (
         f"collection x{factors['collection_gain']:g} * rate x{factors['rate_gain']:g} * "
         f"QE x{factors['qe_factor']:g} = {ratio:g}"
     )
-    return 0
+    return {**factors, "throughput_ratio": ratio}, {}, text
+
+
+# Each command's handler and the config keys it reads, by nesting level: None
+# marks a value, a dict a block, a dataclass a block whose keys are its fields,
+# and a function the keys that depend on the config itself.
+_COMMANDS = {
+    "emission-pattern": (
+        cmd_emission_pattern,
+        {
+            "homogeneous": _leaves(("refractive_index",)),
+            "design": CavityDesign,
+            "pattern": _leaves(("angular_resolution", "include_guided_spike")),
+            "numerical_aperture": None,
+        },
+    ),
+    "cavity-sweep": (cmd_cavity_sweep, _sweep_keys),
+    "hbt": (
+        cmd_hbt,
+        {
+            **_QD_SOURCE_KEYS,
+            "analysis": {
+                "m_far": None,
+                "decay_fit": _leaves(("line", "bin_ps", "t_start", "t_stop")),
+            },
+        },
+    ),
+    "cross-corr": (cmd_cross_corr, {**_QD_SOURCE_KEYS, "lines": None}),
+    "throughput": (cmd_throughput, {"factors": _leaves(_THROUGHPUT_FACTORS)}),
+}
 
 
 def _build_parser():
@@ -303,7 +301,7 @@ def _build_parser():
         description="Planar-microcavity single-photon-diode simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("emission-pattern", "cavity-sweep", "hbt", "cross-corr", "throughput"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", help=f"one of: {', '.join(available_presets())}")
@@ -368,7 +366,10 @@ def _load_config(args):
         raise InvalidInput(
             f"config is for command {declared!r}, invoked as {args.command!r}"
         )
-    _check_keys(config, {"command": None, "seed": None, **_CONFIG_KEYS[args.command]})
+    keys = _COMMANDS[args.command][1]
+    if callable(keys):
+        keys = keys(config)
+    _check_keys(config, {"command": None, "seed": None, **keys})
     return _Block(config)
 
 
@@ -382,17 +383,15 @@ def main(argv=None):
         except OSError as exc:
             raise InvalidInput(f"cannot create output directory: {exc}") from exc
         seed = args.seed if args.seed is not None else config.get("seed", 0)
-        if args.command == "emission-pattern":
-            return cmd_emission_pattern(config, args.out)
-        if args.command == "cavity-sweep":
-            return cmd_cavity_sweep(config, args.out)
-        if args.command == "hbt":
-            return cmd_hbt(config, args.out, seed)
-        if args.command == "cross-corr":
-            return cmd_cross_corr(config, args.out, seed)
-        if args.command == "throughput":
-            return cmd_throughput(config, args.out)
-        raise InvalidInput(f"unknown command {args.command!r}")
+        summary, files, text = _COMMANDS[args.command][0](config, seed)
+        for name, result in files.items():
+            result.to_csv(os.path.join(args.out, name))
+        summary["outputs"] = list(files)
+        with open(os.path.join(args.out, "summary.json"), "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(text)
+        return 0
     except (
         InvalidInput,
         UnsupportedInput,

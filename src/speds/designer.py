@@ -13,7 +13,6 @@ Two geometry presets are built in:
 
 import csv
 import numbers
-import os
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -75,10 +74,10 @@ class SweepResult:
     def best_efficiency(self):
         return self.efficiencies[self.argmax]
 
-    def to_csv(self, path, parameter_name="parameter"):
+    def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([parameter_name, "efficiency"])
+            writer.writerow(["periods", "efficiency"])
             for p, e in zip(self.parameter_values, self.efficiencies):
                 writer.writerow([p, f"{e:.8e}"])
 
@@ -126,7 +125,7 @@ def top_mirror_design(top_periods, bottom_periods=12):
     )
 
 
-def sweep_bottom_mirror(max_periods, numerical_apertures: Sequence[float]):
+def sweep_bottom_mirror(max_periods=25, numerical_apertures: Sequence[float] = (0.5,)):
     """Collection efficiency versus bottom-mirror repeats (Fig. 5 style sweep).
 
     Returns {numerical_aperture: SweepResult} with N = 0..max_periods.
@@ -153,20 +152,3 @@ def optimize_top_mirror(bottom_periods=12, max_top=10, numerical_aperture=0.5):
         geom = geometry_for(top_mirror_design(t, bottom_periods))
         etas.append(direct_collection_efficiency(geom, numerical_aperture))
     return SweepResult(list(range(max_top + 1)), etas)
-
-
-def sweep_csv_name(preset, numerical_aperture):
-    return f"{preset}_NA{numerical_aperture:g}.csv"
-
-
-def write_sweep_csvs(out_dir, preset, results):
-    """One CSV per NA; ``results`` is {na: SweepResult} or a single SweepResult."""
-    if isinstance(results, SweepResult):
-        results = {None: results}
-    paths = []
-    for na, res in results.items():
-        name = sweep_csv_name(preset, na) if na is not None else f"{preset}.csv"
-        path = os.path.join(out_dir, name)
-        res.to_csv(path, parameter_name="periods")
-        paths.append(path)
-    return paths

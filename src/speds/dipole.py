@@ -32,6 +32,8 @@ _DENOM_FLOOR = 1e-3
 _CONTOUR_DEPTH = 0.12
 # Gauss-Legendre order within each emission-pattern bin.
 _BIN_ORDER = 12
+# Finest emission-pattern bin, in degrees: at most 18,001 bins over 0-180 degrees.
+_MIN_RESOLUTION_DEG = 0.01
 
 _GL_CACHE = {}
 
@@ -78,7 +80,12 @@ def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, orde
 
 def _check_numerical_aperture(numerical_aperture):
     """The numerical aperture as a float, checked to lie in (0, 1]."""
-    na = float(numerical_aperture)
+    try:
+        na = float(numerical_aperture)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(
+            f"numerical aperture must be a number, got {numerical_aperture!r}"
+        ) from exc
     if not (0.0 < na <= 1.0):
         raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
     return na
@@ -299,9 +306,10 @@ def emission_pattern(
     power_density is the per-bin average power per radian; summing
     density * bin width over the grid plus guided_power recovers total_power.
     """
-    if not (0.0 < angular_resolution <= 0.5):
+    if not (_MIN_RESOLUTION_DEG <= angular_resolution <= 0.5):
         raise InvalidInput(
-            f"angular_resolution must be in (0, 0.5] degrees, got {angular_resolution}"
+            f"angular_resolution must be in [{_MIN_RESOLUTION_DEG}, 0.5] degrees, "
+            f"got {angular_resolution}"
         )
     fields = _CavityFields(geometry)
     total = fields.total_power()

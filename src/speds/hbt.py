@@ -2,15 +2,16 @@
 
 ``detect`` turns an ideal emission record into two detector click streams
 (beam splitter, finite efficiency, Gaussian timing jitter, Poissonian dark
-and background counts, optional per-arm spectral line filters).
+counts, optional per-arm spectral line filters).
 ``correlate`` builds the full pairwise coincidence histogram within a
 +-window, and ``peak_area_analysis`` integrates pulsed histograms into
 per-peak areas normalized to the uncorrelated far-peak level.
 
-Dark and background rates are quoted in counts/s for the detector pair as a
-whole and are split evenly over the two arms, mirroring how the signal is
-split; with that convention the measured zero-delay correlation of an ideal
-single-photon stream reduces exactly to ``g2_zero_closed_form``.
+The dark rate stands for every uncorrelated click source.  It is quoted in
+counts/s for the detector pair as a whole and is split evenly over the two
+arms, mirroring how the signal is split; with that convention the measured
+zero-delay correlation of an ideal single-photon stream reduces exactly to
+``g2_zero_closed_form``.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ _PAIR_CHUNK = 1 << 20  # pairs histogrammed per call in correlate; bounds its me
 class DetectorPair:
     efficiency: float = 1.0  # per-arm detection probability after the splitter
     dark_rate: float = 0.0  # counts/s, both detectors combined
-    background_rate: float = 0.0  # counts/s of uncorrelated background light
     timing_jitter_sigma: float = 0.0  # ps, Gaussian timing response
     splitter_ratio: float = 0.5  # probability of routing a photon to arm A
     dead_time: float = 0.0  # ns per arm; 0 disables (not part of the default chain)
@@ -42,15 +42,15 @@ class DetectorPair:
             raise InvalidInput(f"efficiency must be in (0, 1], got {self.efficiency}")
         if not 0.0 < self.splitter_ratio < 1.0:
             raise InvalidInput(f"splitter_ratio must be in (0, 1), got {self.splitter_ratio}")
-        for name in ("dark_rate", "background_rate", "timing_jitter_sigma", "dead_time"):
+        for name in ("dark_rate", "timing_jitter_sigma", "dead_time"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise InvalidInput(f"{name} must be finite and >= 0, got {v}")
 
     @property
     def noise_rate_per_arm(self):
-        """Uncorrelated click rate on each arm (dark + background), 1/ns."""
-        return 0.5 * (self.dark_rate + self.background_rate) / _NS_PER_S
+        """Uncorrelated click rate on each arm, 1/ns."""
+        return 0.5 * self.dark_rate / _NS_PER_S
 
 
 def detect(
@@ -174,26 +174,21 @@ def correlate(
     )
 
 
-def g2_zero_closed_form(signal_rate, dark_rate, background_rate):
+def g2_zero_closed_form(signal_rate, noise_rate):
     """Zero-delay correlation of an ideal single-photon stream with noise.
 
-    All rates share one unit.  With S the signal rate and N = dark +
-    background the uncorrelated rate, accidental coincidences give
+    Both rates share one unit.  With S the signal rate and N the uncorrelated
+    rate, accidental coincidences give
 
         g2(0) = (2 N S + N^2) / (S + N)^2.
     """
-    for name, v in (
-        ("signal_rate", signal_rate),
-        ("dark_rate", dark_rate),
-        ("background_rate", background_rate),
-    ):
+    for name, v in (("signal_rate", signal_rate), ("noise_rate", noise_rate)):
         if not np.isfinite(v) or v < 0:
             raise InvalidInput(f"{name} must be finite and >= 0, got {v}")
-    noise = dark_rate + background_rate
-    total = signal_rate + noise
+    total = signal_rate + noise_rate
     if total <= 0:
         raise InvalidInput("at least one of the rates must be positive")
-    return (2.0 * noise * signal_rate + noise**2) / total**2
+    return (2.0 * noise_rate * signal_rate + noise_rate**2) / total**2
 
 
 @dataclass

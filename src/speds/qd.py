@@ -43,6 +43,8 @@ _EMPTY, _X, _X2, _SHELVED = 0, 1, 2, 3
 
 _BLOCK = 1 << 16  # random variates drawn per numpy call in the pulsed event loop
 _CYCLES = 1 << 14  # renewal cycles, and at most as many markers, per DC batch
+_DECAY_BIN_PS = 50.0  # default decay-profile bin width
+_MAX_DECAY_BINS = 10**6  # decay-profile bins per drive period
 
 
 def _require_finite(obj):
@@ -344,19 +346,31 @@ def _pulsed_record(table, drive, rng):
     return EmissionRecord(times, codes, duration)
 
 
-def decay_profile(record: EmissionRecord, drive: DriveProgram, line=LINE_X, bin_ps=50.0):
+def _decay_bin_count(drive: DriveProgram, bin_ps):
+    """Bins of ``bin_ps`` picoseconds per drive period, checked against the cap."""
+    if drive.mode != MODE_PULSED:
+        raise InvalidInput("decay_profile requires a pulsed drive")
+    bin_ns = bin_ps * 1e-3
+    if not bin_ns > 0:
+        raise InvalidInput(f"bin width must be > 0, got {bin_ps}")
+    n_bins = max(np.ceil(drive.period / bin_ns), 1.0)
+    if n_bins > _MAX_DECAY_BINS:
+        raise InvalidInput(
+            f"decay bins of {bin_ps:g} ps give {n_bins:.3g} bins per period, "
+            f"more than the cap of {_MAX_DECAY_BINS:g}"
+        )
+    return int(n_bins)
+
+
+def decay_profile(
+    record: EmissionRecord, drive: DriveProgram, line=LINE_X, bin_ps=_DECAY_BIN_PS
+):
     """Histogram of emission times modulo the drive period.
 
     Returns (bin_centers_ns, counts).  Empty records give all-zero counts.
     """
-    if drive.mode != MODE_PULSED:
-        raise InvalidInput("decay_profile requires a pulsed drive")
-    if bin_ps <= 0:
-        raise InvalidInput(f"bin width must be > 0, got {bin_ps}")
     period = drive.period
-    bin_ns = bin_ps * 1e-3
-    n_bins = max(int(np.ceil(period / bin_ns)), 1)
-    edges = np.linspace(0.0, period, n_bins + 1)
+    edges = np.linspace(0.0, period, _decay_bin_count(drive, bin_ps) + 1)
     counts, _ = np.histogram(np.mod(record.times(line), period), bins=edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
     return centers, counts

@@ -97,7 +97,7 @@ def run_dc_g2_zero(noise_to_signal, seed):
     i0 = np.argmin(np.abs(hist.tau_centers))
     expected_counts = hist.n_a * hist.n_b * hist.bin_width / hist.duration
     se = np.sqrt(max(hist.counts[i0], 1.0)) / expected_counts
-    return hist.g2()[i0], g2_zero_closed_form(signal, noise_to_signal * signal, 0.0), se
+    return hist.g2()[i0], g2_zero_closed_form(signal, noise_to_signal * signal), se
 
 
 def qe_ratio(tau_x, seed):

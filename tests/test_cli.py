@@ -15,6 +15,17 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Make every photon source raise, so a run that samples one fails the test."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the source was sampled")
+
+    for name in ("simulate", "poisson_photon_record", "pulsed_poisson_record"):
+        monkeypatch.setattr(cli.qd, name, never)
+
+
 def small_hbt_config():
     return {
         "source": "qd",
@@ -102,12 +113,14 @@ class TestExitCodes:
             ("hbt", "laser_80mhz", {"correlation": {"window": math.inf}}),
             ("hbt", "laser_80mhz", {"correlation": {"bin_width": math.nan}}),
             ("emission-pattern", "fig6b_cavity", {"pattern": {"angular_resolution": math.nan}}),
+            ("emission-pattern", "fig6b_cavity", {"pattern": {"angular_resolution": 1e-9}}),
+            ("emission-pattern", "fig6b_cavity", {"numerical_aperture": "x"}),
             ("cavity-sweep", "fig5_sweep", {"numerical_apertures": []}),
             ("cavity-sweep", "fig5_sweep", {"max_periods": 12.5}),
         ],
         ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
              "dc-rate-nan", "dc-duration-inf", "window-inf", "bin-width-nan", "resolution-nan",
-             "no-apertures", "fractional-periods"],
+             "resolution-tiny", "aperture-string", "no-apertures", "fractional-periods"],
     )
     def test_bad_numbers_in_preset_blocks_exit_2(self, tmp_path, capsys, command, preset, override):
         path = write_config(tmp_path, override)
@@ -143,8 +156,10 @@ class TestExitCodes:
              "homogeneous.vacuum_wavelength"),
             ("throughput", "throughput_ghz", {"factors": {"rate_from_mhz": [1070.0, 80.0]}},
              "factors.rate_from_mhz"),
+            ("hbt", "dc_eq1", {"detectors": {"background_rate": 5e7}},
+             "detectors.background_rate"),
         ],
-        ids=["design-aperture", "homogeneous-wavelength", "rate-from-mhz"],
+        ids=["design-aperture", "homogeneous-wavelength", "rate-from-mhz", "background-rate"],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, command, preset, override, key):
         path = write_config(tmp_path, override)
@@ -162,17 +177,53 @@ class TestExitCodes:
         ids=["peak-areas-on-dc", "decay-fit-on-poisson"],
     )
     def test_analysis_without_a_pulsed_source_exits_2_before_sampling(
-        self, tmp_path, capsys, monkeypatch, preset, override, key
+        self, tmp_path, capsys, no_sampling, preset, override, key
     ):
-        def never(*args, **kwargs):
-            raise AssertionError("the source was sampled")
-
-        for name in ("simulate", "poisson_photon_record", "pulsed_poisson_record"):
-            monkeypatch.setattr(cli.qd, name, never)
         path = write_config(tmp_path, override)
         rc = cli.main(["hbt", "--preset", preset, "--config", path, "--out", str(tmp_path)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    def test_too_many_decay_bins_exit_2_before_sampling(self, tmp_path, capsys, no_sampling):
+        path = write_config(tmp_path, {"analysis": {"decay_fit": {"bin_ps": 1e-30}}})
+        rc = cli.main(["hbt", "--preset", "fig8_jitter", "--config", path,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset,override,key",
+        [
+            ("top_mirror_study", {"numerical_apertures": [0.3], "max_periods": 40},
+             "unknown config key numerical_apertures"),
+            ("fig5_sweep", {"max_top": 4}, "unknown config key max_top"),
+            ("fig5_sweep", {"study": "side"}, "study must be"),
+        ],
+        ids=["bottom-keys-on-top-study", "top-keys-on-bottom-study", "unknown-study"],
+    )
+    def test_cavity_sweep_reads_only_its_study_keys(self, tmp_path, capsys, preset, override,
+                                                    key):
+        path = write_config(tmp_path, override)
+        out = tmp_path / "out"
+        rc = cli.main(["cavity-sweep", "--preset", preset, "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset,override",
+        [
+            ("laser_80mhz", {"analysis": {"m_far": 20}}),
+            ("fig8_jitter", {"analysis": {"decay_fit": {"t_start": 50.0, "t_stop": 60.0}}}),
+        ],
+        ids=["peak-areas-beyond-window", "empty-decay-fit-window"],
+    )
+    def test_failed_run_writes_no_file(self, tmp_path, preset, override):
+        path = write_config(tmp_path, override)
+        out = tmp_path / "out"
+        rc = cli.main(["hbt", "--preset", preset, "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert list(out.iterdir()) == []
 
     def test_bad_numerical_aperture_fails_fast(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -254,6 +305,7 @@ class TestRuns:
         assert rc == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["throughput_ratio"] == pytest.approx(67.0, abs=0.5)
+        assert summary["outputs"] == []
         assert "= 67" in capsys.readouterr().out
 
     def test_homogeneous_emission_pattern(self, tmp_path, capsys):
@@ -271,6 +323,7 @@ class TestRuns:
         assert rc == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 0.0 <= summary["g2_zero_measured"]
+        assert summary["outputs"] == ["histogram.csv"]
         lines = (tmp_path / "histogram.csv").read_text().splitlines()
         assert lines[5] == "tau_ns,counts,g2_normalized"
 
@@ -289,6 +342,7 @@ class TestRuns:
         assert (tmp_path / "peak_areas.csv").exists()
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["peak_area_one"] == pytest.approx(1.0, abs=0.2)
+        assert summary["outputs"] == ["histogram.csv", "peak_areas.csv"]
 
     def test_peak_areas_read_at_the_source_rate(self, tmp_path):
         # a 40 MHz source read at 80 MHz would leave every odd peak empty

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from speds import designer
+from speds import cli, designer
 from speds.designer import (
     CavityDesign,
     SweepResult,
@@ -9,9 +11,7 @@ from speds.designer import (
     geometry_for,
     optimize_top_mirror,
     sweep_bottom_mirror,
-    sweep_csv_name,
     top_mirror_design,
-    write_sweep_csvs,
 )
 from speds.dipole import direct_collection_efficiency
 from speds.errors import InvalidInput
@@ -101,12 +101,20 @@ class TestSweeps:
 class TestCsv:
     def test_sweep_csv_write(self, tmp_path):
         res = SweepResult([0, 1], [0.01, 0.02])
-        paths = write_sweep_csvs(tmp_path, "top_mirror_geometry", res)
-        assert len(paths) == 1
-        with open(paths[0]) as fh:
-            text = fh.read()
+        path = tmp_path / "sweep.csv"
+        res.to_csv(path)
+        text = path.read_text()
         assert text.splitlines()[0] == "periods,efficiency"
         assert "1,2.00000000e-02" in text
 
-    def test_per_na_names(self):
-        assert sweep_csv_name("fig5_geometry", 0.5) == "fig5_geometry_NA0.5.csv"
+    def test_cavity_sweep_writes_one_csv_per_aperture(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"numerical_apertures": [0.3, 0.5], "max_periods": 12}))
+        out = tmp_path / "out"
+        rc = cli.main(["cavity-sweep", "--preset", "fig5_sweep", "--config", str(config),
+                       "--out", str(out)])
+        assert rc == 0
+        names = ["fig5_geometry_NA0.3.csv", "fig5_geometry_NA0.5.csv"]
+        assert json.loads((out / "summary.json").read_text())["outputs"] == names
+        for name in names:
+            assert len((out / name).read_text().splitlines()) == 14  # header and N = 0..12

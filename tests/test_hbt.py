@@ -225,17 +225,17 @@ class TestCorrelate:
 
 class TestClosedForm:
     def test_perfect_source(self):
-        assert g2_zero_closed_form(1.0, 0.0, 0.0) == 0.0
+        assert g2_zero_closed_form(1.0, 0.0) == 0.0
 
     def test_pure_noise(self):
-        assert g2_zero_closed_form(0.0, 0.5, 0.5) == 1.0
+        assert g2_zero_closed_form(0.0, 1.0) == 1.0
 
     def test_balanced_rates(self):
-        assert g2_zero_closed_form(2.0, 1.5, 0.5) == pytest.approx(0.75)
+        assert g2_zero_closed_form(2.0, 2.0) == pytest.approx(0.75)
 
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidInput):
-            g2_zero_closed_form(0.0, 0.0, 0.0)
+            g2_zero_closed_form(0.0, 0.0)
 
     def test_monte_carlo_matches_closed_form(self):
         model = QDModel(shelve_probability=0.0, capture_rate=0.2)
@@ -247,7 +247,7 @@ class TestClosedForm:
         h = correlate(a, b, window=2.5, bin_width=0.05, duration=rec.duration)
         i0 = np.argmin(np.abs(h.tau_centers))
         measured = h.g2()[i0]
-        expected = g2_zero_closed_form(signal, dark * 1e-9, 0.0)
+        expected = g2_zero_closed_form(signal, dark * 1e-9)
         se = np.sqrt(max(h.counts[i0], 1.0)) / (h.n_a * h.n_b * h.bin_width / h.duration)
         assert abs(measured - expected) < 3.0 * se
 
@@ -279,7 +279,7 @@ class TestPeakAreas:
         signal = len(rec.times(LINE_X)) / rec.duration
         x = 1.0 / np.sqrt(1.0 - 0.11) - 1.0  # Eq.(1) inverted for noise/signal
         det = DetectorPair(dark_rate=x * signal * 1e9)
-        assert g2_zero_closed_form(signal, x * signal, 0.0) == pytest.approx(0.11, abs=1e-12)
+        assert g2_zero_closed_form(signal, x * signal) == pytest.approx(0.11, abs=1e-12)
         a, b = detect(rec, det, seed=22, line_filter_a=LINE_X, line_filter_b=LINE_X)
         h = correlate(a, b, window=160.0, bin_width=0.5, duration=rec.duration)
         areas = peak_area_analysis(h, 80.0, m_far=10)
@@ -372,4 +372,4 @@ class TestValidationHbt:
 
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidInput):
-            g2_zero_closed_form(-1.0, 0.0, 1.0)
+            g2_zero_closed_form(-1.0, 1.0)
