@@ -22,13 +22,29 @@ from .dipole import (
     DipoleSource,
     EmissionGeometry,
     _check_numerical_aperture,
-    direct_collection_efficiency,
+    mirror_sweep_efficiencies,
 )
 from .errors import InvalidInput
 from .multilayer import DESIGN_WAVELENGTH_NM, N_ALAS, N_GAAS, LayerStack, build_bragg
 
 FIG5_PRESET = "fig5_geometry"
 TOP_MIRROR_PRESET = "top_mirror_geometry"
+
+# Longest mirror, in Bragg periods.  At 100 periods (n_AlAs/n_GaAs)^(2N) is
+# about 1.4e-15 and 1 - R about 6e-15, a few rounding steps from R = 1, so a
+# longer mirror changes nothing but the work.
+MAX_MIRROR_PERIODS = 100
+
+
+def _check_period_count(name, value, least):
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not least <= value <= MAX_MIRROR_PERIODS
+    ):
+        raise InvalidInput(
+            f"{name} must be an integer in [{least}, {MAX_MIRROR_PERIODS}], got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -39,8 +55,8 @@ class CavityDesign:
     dipole_depth_below_surface: float = 2.0  # in design wavelengths (optical)
 
     def __post_init__(self):
-        if self.bottom_periods < 0 or self.top_periods < 0:
-            raise InvalidInput("mirror period counts must be >= 0")
+        _check_period_count("bottom_periods", self.bottom_periods, 0)
+        _check_period_count("top_periods", self.top_periods, 0)
         if self.cavity_order <= 0 or (2.0 * self.cavity_order) % 1.0 != 0:
             raise InvalidInput(
                 f"cavity order must be a positive multiple of 0.5, got {self.cavity_order}"
@@ -130,25 +146,21 @@ def sweep_bottom_mirror(max_periods=25, numerical_apertures: Sequence[float] = (
 
     Returns {numerical_aperture: SweepResult} with N = 0..max_periods.
     """
-    if not isinstance(max_periods, numbers.Integral) or max_periods < 12:
-        raise InvalidInput(f"max_periods must be an integer >= 12, got {max_periods!r}")
+    _check_period_count("max_periods", max_periods, 12)
     if len(numerical_apertures) == 0:
         raise InvalidInput("numerical_apertures must list at least one aperture")
     nas = [_check_numerical_aperture(na) for na in numerical_apertures]
     periods = list(range(max_periods + 1))
-    geometries = [geometry_for(fig5_design(n)) for n in periods]
-    return {
-        na: SweepResult(periods, [direct_collection_efficiency(g, na) for g in geometries])
-        for na in nas
-    }
+    geometry = geometry_for(fig5_design(max_periods))
+    etas = mirror_sweep_efficiencies(geometry, "lower", nas)
+    return {na: SweepResult(periods, etas[na].tolist()) for na in nas}
 
 
 def optimize_top_mirror(bottom_periods=12, max_top=10, numerical_aperture=0.5):
     """Collection efficiency versus top-mirror repeats for a one-wavelength cavity."""
-    if bottom_periods < 0 or max_top < 0:
-        raise InvalidInput("period counts must be >= 0")
-    etas = []
-    for t in range(max_top + 1):
-        geom = geometry_for(top_mirror_design(t, bottom_periods))
-        etas.append(direct_collection_efficiency(geom, numerical_aperture))
-    return SweepResult(list(range(max_top + 1)), etas)
+    _check_period_count("bottom_periods", bottom_periods, 0)
+    _check_period_count("max_top", max_top, 0)
+    na = _check_numerical_aperture(numerical_aperture)
+    geometry = geometry_for(top_mirror_design(max_top, bottom_periods))
+    etas = mirror_sweep_efficiencies(geometry, "upper", [na])
+    return SweepResult(list(range(max_top + 1)), etas[na].tolist())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure, UnsupportedInput
-from .multilayer import TE, TM, LayerStack, _check_index, stack_rt
+from .multilayer import TE, TM, LayerStack, _check_index, bragg_prefix_rt, stack_rt
 
 # Imaginary part added to every finite layer index: damps guided-mode poles
 # that sit on the real k-parallel axis.
@@ -46,35 +46,55 @@ def _gauss_nodes(order):
 
 def _panel_integrals(f, edges, order):
     """Gauss-Legendre integral of ``f`` over each panel [edges[i], edges[i+1]],
-    from one vectorized call of ``f``."""
+    from one vectorized call of ``f``.
+
+    ``f`` maps a 1-d array of nodes to the values there, or to one row of
+    values per design; the result has a panel axis last.
+    """
     x, w = _gauss_nodes(order)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return np.sum(vals * w[None, :], axis=1) * half
+    vals = f(nodes.ravel())
+    vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+    return np.sum(vals * w, axis=-1) * half
 
 
 def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, order=24):
-    """Composite Gauss-Legendre with panel doubling until converged."""
+    """Composite Gauss-Legendre with panel doubling until converged.
+
+    If ``f`` returns one row per design (designs x nodes), every design is
+    integrated on the same panels and stops at its own first converged
+    doubling, so each result equals the integral of that row alone.
+    """
 
     def integrate(panels):
-        return np.sum(_panel_integrals(f, np.linspace(a, b, panels + 1), order))
+        per_panel = _panel_integrals(f, np.linspace(a, b, panels + 1), order)
+        # each design's panels summed as one contiguous row, as for one design
+        sums = np.array([np.sum(row) for row in np.atleast_2d(per_panel)])
+        return sums, per_panel.ndim > 1
 
     panels = min_panels
-    prev = integrate(panels)
+    prev, batched = integrate(panels)
+    result = np.empty_like(prev)
+    open_ = np.ones(prev.shape, dtype=bool)
     for _ in range(max_doublings):
         panels *= 2
-        cur = integrate(panels)
-        scale = max(abs(cur), 1e-12)
-        change = abs(cur - prev)
-        if change <= rel_tol * scale:
-            return cur
+        cur, _ = integrate(panels)
+        scale = np.maximum(np.abs(cur), 1e-12)
+        change = np.abs(cur - prev)
+        done = open_ & (change <= rel_tol * scale)
+        result[done] = cur[done]
+        open_ &= ~done
+        if not open_.any():
+            return result if batched else result[0]
         prev = cur
+    i = int(np.argmax(open_))
     raise NumericalFailure(
         f"k-parallel quadrature did not converge on [{a}, {b}]: "
-        f"{panels} panels, last change {change:.3e} vs "
-        f"tolerance {rel_tol:.1e} * {scale:.3e}"
+        f"{panels} panels, last change {change[i]:.3e} vs "
+        f"tolerance {rel_tol:.1e} * {scale[i]:.3e}"
+        + (f" (design {i})" if batched else "")
     )
 
 
@@ -214,13 +234,31 @@ class AngularPowerSpectrum:
 
 
 class _CavityFields:
-    """Evaluates mirror amplitudes and escape densities for one geometry."""
+    """Evaluates mirror amplitudes and escape densities for one geometry.
 
-    def __init__(self, geometry: EmissionGeometry):
+    ``swept`` is None for one geometry.  Set to "upper" or "lower", it makes
+    that mirror stand for every design cut from it after a whole number of
+    Bragg periods (0, 1, ..., all of them; see ``bragg_prefix_rt``), the rest
+    of the geometry shared.  Its response then has a leading design axis, and
+    so have the integrand, the escape density and every integral of them.
+    """
+
+    def __init__(self, geometry: EmissionGeometry, swept):
         self.g = geometry
-        self.wl = geometry.source.vacuum_wavelength
+        src = geometry.source
+        self.wl = src.vacuum_wavelength
         self.k0 = 2.0 * np.pi / self.wl
-        self.n_host = geometry.source.host_index.real
+        self.n_host = src.host_index.real
+        self.mirrors = {
+            "upper": (geometry.upper, src.distance_to_upper_stack),
+            "lower": (geometry.lower, src.distance_to_lower_stack),
+        }
+        self.swept = swept
+
+    def _rt(self, side, kpar, pol):
+        """(r, t) of one mirror, with a design axis if it is the swept one."""
+        rt = bragg_prefix_rt if side == self.swept else stack_rt
+        return rt(self.mirrors[side][0], self.wl, kpar, pol, _IM_REG)
 
     def _mirrors(self, chi):
         """a-coefficients at complex host angle chi (vectorized)."""
@@ -229,11 +267,9 @@ class _CavityFields:
         kz_host = self.n_host * self.k0 * np.cos(chi)
         out = {}
         for pol in (TE, TM):
-            r_up, _ = stack_rt(self.g.upper, self.wl, kpar, pol, _IM_REG)
-            r_dn, _ = stack_rt(self.g.lower, self.wl, kpar, pol, _IM_REG)
-            out[pol] = (
-                r_up * np.exp(2j * kz_host * self.g.source.distance_to_upper_stack),
-                r_dn * np.exp(2j * kz_host * self.g.source.distance_to_lower_stack),
+            out[pol] = tuple(
+                self._rt(side, kpar, pol)[0] * np.exp(2j * kz_host * self.mirrors[side][1])
+                for side in ("upper", "lower")
             )
         return out
 
@@ -255,8 +291,7 @@ class _CavityFields:
             dchi = 1.0 - 2j * h * np.cos(2.0 * t)
             return self.dissipation_integrand(chi) * dchi
 
-        val = adaptive_integral(f, 0.0, 0.5 * np.pi)
-        return float(np.real(val))
+        return np.real(adaptive_integral(f, 0.0, 0.5 * np.pi))
 
     def escape_density(self, theta_rad, side):
         """Power per radian of polar angle radiated into one half-space.
@@ -265,17 +300,15 @@ class _CavityFields:
         (air side: from +z; substrate side: from -z).
         """
         theta_rad = np.asarray(theta_rad, dtype=float)
-        src = self.g.source
-        up = (self.g.upper, src.distance_to_upper_stack)
-        dn = (self.g.lower, src.distance_to_lower_stack)
-        (stack, dist_same), (opp_stack, dist_opp) = (up, dn) if side == "top" else (dn, up)
+        same, opp = ("upper", "lower") if side == "top" else ("lower", "upper")
+        (stack, dist_same), (_, dist_opp) = self.mirrors[same], self.mirrors[opp]
         n_out = stack.exit_index.real
         u = (n_out / self.n_host) * np.sin(theta_rad)
         cos2chi = 1.0 - u ** 2
         cos2chi = np.maximum(cos2chi, 1e-15)
         kpar = self.n_host * self.k0 * u
         kz_host = self.n_host * self.k0 * np.sqrt(cos2chi)
-        dens = np.zeros_like(theta_rad)
+        dens = 0.0
         prefac = (
             0.375
             * (n_out / self.n_host) ** 3
@@ -284,8 +317,8 @@ class _CavityFields:
         )
         floor2 = _DENOM_FLOOR ** 2
         for pol, sign in ((TE, +1.0), (TM, -1.0)):
-            r_same, t_same = stack_rt(stack, self.wl, kpar, pol, _IM_REG)
-            r_opp, _ = stack_rt(opp_stack, self.wl, kpar, pol, _IM_REG)
+            r_same, t_same = self._rt(same, kpar, pol)
+            r_opp, _ = self._rt(opp, kpar, pol)
             a_same = r_same * np.exp(2j * kz_host * dist_same)
             a_opp = r_opp * np.exp(2j * kz_host * dist_opp)
             denom = np.abs(1.0 - a_same * a_opp) ** 2 + floor2
@@ -294,8 +327,14 @@ class _CavityFields:
                 contrib = num / (denom * cos2chi)
             else:
                 contrib = num / denom
-            dens += prefac * contrib
+            dens = dens + prefac * contrib
         return dens
+
+    def cone_power(self, numerical_aperture):
+        """Power radiated into the top-side collection cone of this aperture."""
+        theta_c = np.arcsin(numerical_aperture / self.g.upper.exit_index.real)
+        cone = adaptive_integral(lambda th: self.escape_density(th, "top"), 0.0, theta_c)
+        return np.real(cone)
 
 
 def emission_pattern(
@@ -311,8 +350,8 @@ def emission_pattern(
             f"angular_resolution must be in [{_MIN_RESOLUTION_DEG}, 0.5] degrees, "
             f"got {angular_resolution}"
         )
-    fields = _CavityFields(geometry)
-    total = fields.total_power()
+    fields = _CavityFields(geometry, None)
+    total = float(fields.total_power())
 
     res = float(angular_resolution)
     theta_grid = np.arange(0.0, 180.0 + 0.5 * res, res)
@@ -371,11 +410,25 @@ def direct_collection_efficiency(
     integrated here.
     """
     na = _check_numerical_aperture(numerical_aperture)
-    fields = _CavityFields(geometry)
-    total = fields.total_power() if total_power is None else total_power
-    theta_c = np.arcsin(na / geometry.upper.exit_index.real)
-    cone = adaptive_integral(lambda th: fields.escape_density(th, "top"), 0.0, theta_c)
-    return float(np.real(cone)) / total
+    fields = _CavityFields(geometry, None)
+    total = float(fields.total_power()) if total_power is None else total_power
+    return float(fields.cone_power(na)) / total
+
+
+def mirror_sweep_efficiencies(geometry: EmissionGeometry, swept, numerical_apertures):
+    """Collection efficiency of every design cut from one Bragg mirror.
+
+    The designs share ``geometry`` but for its ``swept`` mirror ("upper" or
+    "lower"), which they cut after 0, 1, ..., all of its periods.  All designs
+    are integrated together on one node set, and each design's total power is
+    integrated once for all the apertures.  Returns {numerical aperture:
+    efficiencies, one per design}; each equals ``direct_collection_efficiency``
+    of that design at that aperture.
+    """
+    nas = [_check_numerical_aperture(na) for na in numerical_apertures]
+    fields = _CavityFields(geometry, swept)
+    total = fields.total_power()
+    return {na: fields.cone_power(na) / total for na in nas}
 
 
 def analytic_no_cavity_efficiency(n, numerical_aperture):

@@ -132,6 +132,56 @@ def fresnel_interface(n1, n2, query: PlaneWaveQuery):
     return complex(r), complex(t)
 
 
+def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts):
+    """(r, t) of the stack's first ``c`` layers closed by its exit medium, one
+    pair per ``c`` in the ascending ``cuts``, from one pass over the layers.
+
+    The leading c layers of a stack are the same whatever follows them, so the
+    running product up to layer c is shared by every cut at or after it.
+    """
+    kpar = np.asarray(kpar, dtype=complex)
+    k0 = 2.0 * np.pi / vacuum_wavelength
+    indices = [stack.entry_index]
+    for layer in stack.layers:
+        indices.append(layer.refractive_index + 1j * im_reg)
+    # A Bragg stack repeats two indices: one kz array per distinct medium.
+    kz = {n: kz_normal(n, k0, kpar) for n in set(indices) | {stack.exit_index}}
+
+    def step(m, n1, n2, thickness):
+        # M <- M . I(n1, n2) . P, P the propagation through the n2 layer of
+        # this thickness (none for the exit interface, thickness None)
+        r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
+        if thickness is None:
+            pf = pb = 1.0
+        else:
+            delta = kz[n2] * thickness
+            pf = np.exp(-1j * delta)
+            pb = np.exp(+1j * delta)
+        a00 = pf / t
+        a01 = pb * r / t
+        a10 = pf * r / t
+        a11 = pb / t
+        m00, m01, m10, m11 = m
+        return (
+            m00 * a00 + m01 * a10,
+            m00 * a01 + m01 * a11,
+            m10 * a00 + m11 * a10,
+            m10 * a01 + m11 * a11,
+        )
+
+    # 2x2 transfer matrix as four broadcastable components.
+    m = (np.ones_like(kpar), np.zeros_like(kpar), np.zeros_like(kpar), np.ones_like(kpar))
+    out = []
+    done = 0
+    for cut in cuts:
+        for j in range(done, cut):
+            m = step(m, indices[j], indices[j + 1], stack.layers[j].thickness)
+        done = cut
+        m00, _, m10, _ = step(m, indices[cut], stack.exit_index, None)
+        out.append((m10 / m00, 1.0 / m00))
+    return out
+
+
 def stack_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg=0.0):
     """Vectorized amplitude reflection/transmission of a stack.
 
@@ -140,41 +190,24 @@ def stack_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg=0.
     small imaginary part to every finite-layer index, regularizing guided-mode
     poles.  Phase is referenced to the entry-side boundary.
     """
-    kpar = np.asarray(kpar, dtype=complex)
-    k0 = 2.0 * np.pi / vacuum_wavelength
-    indices = [stack.entry_index]
-    for layer in stack.layers:
-        indices.append(layer.refractive_index + 1j * im_reg)
-    indices.append(stack.exit_index)
-    # A Bragg stack repeats two indices: one kz array per distinct medium.
-    kz = {n: kz_normal(n, k0, kpar) for n in set(indices)}
+    cut = len(stack.layers)
+    return _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, [cut])[0]
 
-    # 2x2 transfer matrix as four broadcastable components.
-    m00 = np.ones_like(kpar)
-    m01 = np.zeros_like(kpar)
-    m10 = np.zeros_like(kpar)
-    m11 = np.ones_like(kpar)
-    for j in range(len(indices) - 1):
-        n1, n2 = indices[j], indices[j + 1]
-        r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
-        if j < len(stack.layers):
-            delta = kz[n2] * stack.layers[j].thickness
-            pf = np.exp(-1j * delta)
-            pb = np.exp(+1j * delta)
-        else:
-            pf = pb = 1.0
-        # M <- M . I(j, j+1) . P(j+1)
-        a00 = pf / t
-        a01 = pb * r / t
-        a10 = pf * r / t
-        a11 = pb / t
-        m00, m01, m10, m11 = (
-            m00 * a00 + m01 * a10,
-            m00 * a01 + m01 * a11,
-            m10 * a00 + m11 * a10,
-            m10 * a01 + m11 * a11,
-        )
-    return m10 / m00, 1.0 / m00
+
+def bragg_prefix_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg):
+    """``stack_rt`` of every whole-period prefix of a Bragg stack, in one pass.
+
+    The stack is laid out as ``build_bragg`` lays it, two layers a period; the
+    prefix of N periods is closed by the stack's exit medium.  Returns (r, t),
+    each with a leading axis over N = 0, 1, ..., the stack's period count, and
+    each row equal to ``stack_rt`` of that N-period stack.
+    """
+    if len(stack.layers) % 2:
+        raise InvalidInput(f"a Bragg stack has two layers a period, got {len(stack.layers)}")
+    cuts = range(0, len(stack.layers) + 1, 2)
+    rt = _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts)
+    r, t = zip(*rt)
+    return np.stack(r), np.stack(t)
 
 
 def stack_response(stack: LayerStack, query: PlaneWaveQuery):

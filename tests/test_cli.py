@@ -117,10 +117,18 @@ class TestExitCodes:
             ("emission-pattern", "fig6b_cavity", {"numerical_aperture": "x"}),
             ("cavity-sweep", "fig5_sweep", {"numerical_apertures": []}),
             ("cavity-sweep", "fig5_sweep", {"max_periods": 12.5}),
+            ("cavity-sweep", "fig5_sweep", {"max_periods": 100000}),
+            ("cavity-sweep", "top_mirror_study", {"max_top": 100000}),
+            ("cavity-sweep", "top_mirror_study", {"max_top": 2.5}),
+            ("cavity-sweep", "top_mirror_study", {"max_top": "3"}),
+            ("cavity-sweep", "top_mirror_study", {"bottom_periods": True}),
+            ("emission-pattern", "fig6b_cavity", {"design": {"bottom_periods": 100000}}),
         ],
         ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
              "dc-rate-nan", "dc-duration-inf", "window-inf", "bin-width-nan", "resolution-nan",
-             "resolution-tiny", "aperture-string", "no-apertures", "fractional-periods"],
+             "resolution-tiny", "aperture-string", "no-apertures", "fractional-periods",
+             "bottom-sweep-cap", "top-sweep-cap", "top-fractional", "top-string",
+             "bottom-periods-bool", "design-periods-cap"],
     )
     def test_bad_numbers_in_preset_blocks_exit_2(self, tmp_path, capsys, command, preset, override):
         path = write_config(tmp_path, override)

@@ -5,6 +5,7 @@ import pytest
 
 from speds import cli, designer
 from speds.designer import (
+    MAX_MIRROR_PERIODS,
     CavityDesign,
     SweepResult,
     fig5_design,
@@ -54,6 +55,25 @@ class TestCavityDesign:
         with pytest.raises(InvalidInput):
             CavityDesign(bottom_periods=-1)
 
+    @pytest.mark.parametrize("field", ["bottom_periods", "top_periods"])
+    def test_mirror_period_cap(self, field):
+        periods = {"bottom_periods": 12, field: MAX_MIRROR_PERIODS}
+        CavityDesign(**periods)
+        for bad in (MAX_MIRROR_PERIODS + 1, 12.5, True):
+            with pytest.raises(InvalidInput, match=field):
+                CavityDesign(**dict(periods, **{field: bad}))
+
+
+@pytest.fixture
+def no_design(monkeypatch):
+    """Fail the test if a sweep builds or evaluates any design."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a design was built or evaluated")
+
+    monkeypatch.setattr(designer, "geometry_for", never)
+    monkeypatch.setattr(designer, "mirror_sweep_efficiencies", never)
+
 
 class TestSweeps:
     def test_bottom_sweep_requires_twelve_periods(self):
@@ -63,17 +83,42 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "max_periods,nas,key",
         [(12.5, [0.5], "max_periods"), (12, [], "numerical_apertures"),
-         (12, [0.5, 1.5], "numerical aperture")],
+         (12, [0.5, 1.5], "numerical aperture"), (MAX_MIRROR_PERIODS + 1, [0.5], "max_periods")],
     )
     def test_bottom_sweep_rejects_bad_inputs_before_any_design(
-        self, monkeypatch, max_periods, nas, key
+        self, no_design, max_periods, nas, key
     ):
-        def never(*args, **kwargs):
-            raise AssertionError("a design was evaluated")
-
-        monkeypatch.setattr(designer, "direct_collection_efficiency", never)
         with pytest.raises(InvalidInput, match=key):
             sweep_bottom_mirror(max_periods, nas)
+
+    @pytest.mark.parametrize(
+        "bottom_periods,max_top,na,key",
+        [(12, 2.5, 0.5, "max_top"), (12, "3", 0.5, "max_top"), (12, -1, 0.5, "max_top"),
+         (12, MAX_MIRROR_PERIODS + 1, 0.5, "max_top"), (True, 10, 0.5, "bottom_periods"),
+         (MAX_MIRROR_PERIODS + 1, 10, 0.5, "bottom_periods"), (12, 10, 1.5, "numerical aperture")],
+    )
+    def test_top_study_rejects_bad_inputs_before_any_design(
+        self, no_design, bottom_periods, max_top, na, key
+    ):
+        with pytest.raises(InvalidInput, match=key):
+            optimize_top_mirror(bottom_periods, max_top, na)
+
+    def test_bottom_sweep_equals_per_design_evaluation(self):
+        nas = [0.3, 0.5]
+        results = sweep_bottom_mirror(25, nas)
+        assert list(results) == nas
+        for na in nas:
+            assert results[na].efficiencies == [
+                direct_collection_efficiency(geometry_for(fig5_design(n)), na)
+                for n in range(26)
+            ]
+
+    def test_top_study_equals_per_design_evaluation(self):
+        res = optimize_top_mirror(12, 10)
+        assert res.efficiencies == [
+            direct_collection_efficiency(geometry_for(top_mirror_design(t, 12)), 0.5)
+            for t in range(11)
+        ]
 
     def test_bottom_sweep_values(self):
         results = sweep_bottom_mirror(12, [0.5])

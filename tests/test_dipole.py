@@ -45,6 +45,20 @@ class TestAdaptiveIntegral:
         expected = (1.0 - np.cos(40.0)) / 40.0
         assert val == pytest.approx(expected, rel=1e-8)
 
+    def test_rows_stop_at_their_own_doubling(self):
+        # sin(x) converges at the first doubling, sin(1000 x) three doublings
+        # later; each row must equal its own scalar integral exactly
+        a = np.array([1.0, 1000.0])
+        both = adaptive_integral(lambda x: np.sin(a[:, None] * x), 0.0, 1.0)
+        assert both.shape == (2,)
+        for ai, val in zip(a, both):
+            assert val == adaptive_integral(lambda x: np.sin(ai * x), 0.0, 1.0)
+
+    def test_row_that_does_not_converge_fails(self):
+        a = np.array([1.0, 1e6])
+        with pytest.raises(NumericalFailure, match="design 1"):
+            adaptive_integral(lambda x: np.sin(a[:, None] * x), 0.0, 1.0)
+
     def test_failure_reports_diagnostics(self):
         rng = np.random.default_rng(0)
         with pytest.raises(NumericalFailure, match="panels"):
@@ -125,7 +139,7 @@ class TestPatternBins:
         spec = emission_pattern(geom, angular_resolution=0.25)
         i90 = int(np.argmin(np.abs(spec.theta_grid - 90.0)))
         lo, hi = np.radians([89.875, 90.125])
-        fields = _CavityFields(geom)
+        fields = _CavityFields(geom, None)
         top = adaptive_integral(
             lambda th: fields.escape_density(th, "top"), lo, 0.5 * np.pi, rel_tol=1e-12
         )
@@ -169,7 +183,7 @@ class TestReciprocityOracle:
         # leaky-mode peak of the 12-period cavity, where the program's im_reg
         # damping shifts the density by up to 2e-4 (6e-5 elsewhere)
         theta = np.radians([0.5, 5.0, 12.0, 16.5, 16.65, 17.0, 20.0, 29.5])
-        program = _CavityFields(geometry_for(fig5_design(periods))).escape_density(
+        program = _CavityFields(geometry_for(fig5_design(periods)), None).escape_density(
             theta, "bottom"
         )
         oracle = oracles.downward_escape_density(theta, *self.cavity(periods), LAM)

@@ -12,12 +12,14 @@ from speds.multilayer import (
     Layer,
     LayerStack,
     PlaneWaveQuery,
+    bragg_prefix_rt,
     build_bragg,
     fresnel_interface,
     kz_normal,
     power_reflectance,
     power_transmittance,
     stack_response,
+    stack_rt,
 )
 
 LAM = DESIGN_WAVELENGTH_NM
@@ -130,6 +132,42 @@ class TestBragg:
         low, high = stack.layers
         assert low.thickness == pytest.approx(LAM / (4 * N_ALAS))
         assert high.thickness == pytest.approx(LAM / (4 * N_GAAS))
+
+
+class TestBraggPrefix:
+    """One prefix pass gives every period count's (r, t), equal to stack_rt's."""
+
+    K0 = 2.0 * np.pi / LAM
+    # real k-parallel past the host light line, and the inner points of the
+    # complex contour that the dipole's total-power integral takes
+    T = np.linspace(0.0, 0.5 * np.pi, 302)[1:-1]
+    KPAR = {
+        "real": N_GAAS * K0 * np.linspace(0.0, 1.2, 300),
+        "contour": N_GAAS * K0 * np.sin(T - 0.12j * np.sin(2.0 * T)),
+    }
+
+    @pytest.mark.parametrize("pol", [TE, TM])
+    @pytest.mark.parametrize("kind", ["real", "contour"])
+    @pytest.mark.parametrize("im_reg", [0.0, 1e-6])
+    @pytest.mark.parametrize("exit_index,max_periods", [(N_GAAS, 25), (1.0, 10)],
+                             ids=["bottom-gaas-exit", "top-air-exit"])
+    def test_prefixes_equal_stack_rt(self, pol, kind, im_reg, exit_index, max_periods):
+        def mirror(periods):
+            return build_bragg(
+                N_GAAS, N_ALAS, LAM, periods, entry_index=N_GAAS, exit_index=exit_index
+            )
+
+        kpar = self.KPAR[kind]
+        r, t = bragg_prefix_rt(mirror(max_periods), LAM, kpar, pol, im_reg)
+        assert r.shape == t.shape == (max_periods + 1, kpar.size)
+        for n in range(max_periods + 1):
+            r_n, t_n = stack_rt(mirror(n), LAM, kpar, pol, im_reg)
+            assert np.array_equal(r[n], r_n) and np.array_equal(t[n], t_n)
+
+    def test_odd_layer_count_rejected(self):
+        stack = LayerStack(N_GAAS, (Layer(50.0, N_ALAS),), N_GAAS)
+        with pytest.raises(InvalidInput, match="two layers a period"):
+            bragg_prefix_rt(stack, LAM, 0.0, TE, 0.0)
 
 
 class TestValidation:
