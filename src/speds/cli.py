@@ -150,18 +150,50 @@ def _source_from_config(config):
     raise InvalidInput(f"unknown source {source!r}")
 
 
-def _detectors_from_config(config, signal_per_ns):
-    det_cfg = dict(config.get("detectors", {}))
-    ratio = config.get("noise_to_signal_ratio")
+def _noise_ratio(config, dark_rate):
+    """The noise/signal ratio the config sets, or None; checked before sampling.
+
+    Noise is given one way at most: as this ratio, as the g2(0) it gives, or
+    as a nonzero ``detectors.dark_rate``.
+    """
+    given = [k for k in ("noise_to_signal_ratio", "target_g2_zero") if config.get(k) is not None]
+    if dark_rate:
+        given.append("detectors.dark_rate")
+    if len(given) > 1:
+        raise InvalidInput(f"noise is given twice: by {given[0]} and by {given[1]}")
     target = config.get("target_g2_zero")
-    if target is not None:
-        if not 0.0 <= target < 1.0:
-            raise InvalidInput(f"target_g2_zero must be in [0, 1), got {target}")
-        # invert g2 = (2x + x^2) / (1 + x)^2 for the noise/signal ratio x
-        ratio = 1.0 / np.sqrt(1.0 - target) - 1.0
+    if target is None:
+        return config.get("noise_to_signal_ratio")
+    if not 0.0 <= target < 1.0:
+        raise InvalidInput(f"target_g2_zero must be in [0, 1), got {target}")
+    # invert g2 = (2x + x^2) / (1 + x)^2 for the noise/signal ratio x
+    return 1.0 / np.sqrt(1.0 - target) - 1.0
+
+
+def _correlated(config, seed, sample, lines):
+    """Sample, detect ``lines`` on arms A and B, and correlate: hbt's and cross-corr's chain.
+
+    Returns ``(record, histogram, rates)``; ``rates`` holds the signal rate on
+    ``line_filter``, the noise rate (both 1/ns) and any noise/signal ratio set.
+    """
+    det_cfg = dict(config.get("detectors", {}))
+    ratio = _noise_ratio(config, det_cfg.get("dark_rate"))
+    record = sample(seed)
+    signal_per_ns = record.times(config.get("line_filter")).size / record.duration
     if ratio is not None:
         det_cfg["dark_rate"] = ratio * signal_per_ns * 1e9
-    return hbt.DetectorPair(**det_cfg), ratio
+    detectors = hbt.DetectorPair(**det_cfg)
+    corr_cfg = config["correlation"]
+    hist = hbt.cross_correlate_lines(
+        record, *lines, detectors, seed + 1, corr_cfg["window"], corr_cfg["bin_width"]
+    )
+    rates = {
+        "signal_rate_per_ns": signal_per_ns,
+        "noise_rate_per_ns": 2.0 * detectors.noise_rate_per_arm,
+    }
+    if ratio is not None:
+        rates["noise_to_signal_ratio"] = ratio
+    return record, hist, rates
 
 
 def cmd_hbt(config, seed):
@@ -176,36 +208,18 @@ def cmd_hbt(config, seed):
             raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
         fit_cfg = analysis["decay_fit"]
         qd._decay_bin_count(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
-    record = sample(seed)
     line = config.get("line_filter")
-    signal_per_ns = record.times(line).size / record.duration
-    detectors, noise_ratio = _detectors_from_config(config, signal_per_ns)
-    clicks_a, clicks_b = hbt.detect(
-        record, detectors, seed + 1, line_filter_a=line, line_filter_b=line
-    )
-    corr_cfg = config["correlation"]
-    hist = hbt.correlate(
-        clicks_a,
-        clicks_b,
-        corr_cfg["window"],
-        corr_cfg["bin_width"],
-        record.duration,
-        source_lines=(line, line),
-    )
+    record, hist, rates = _correlated(config, seed, sample, (line, line))
     files = {"histogram.csv": hist}
-
-    noise_per_ns = 2.0 * detectors.noise_rate_per_arm
     summary = {
         "n_clicks_a": int(hist.n_a),
         "n_clicks_b": int(hist.n_b),
-        "signal_rate_per_ns": signal_per_ns,
-        "noise_rate_per_ns": noise_per_ns,
+        **rates,
         "g2_zero_measured": hist.g2_at(0.0),
-        "g2_zero_eq1_prediction": hbt.g2_zero_closed_form(signal_per_ns, noise_per_ns),
+        "g2_zero_eq1_prediction": hbt.g2_zero_closed_form(
+            rates["signal_rate_per_ns"], rates["noise_rate_per_ns"]
+        ),
     }
-    if noise_ratio is not None:
-        summary["noise_to_signal_ratio"] = noise_ratio
-
     if "m_far" in analysis:
         areas = hbt.peak_area_analysis(hist, repetition_rate, m_far=analysis["m_far"])
         files["peak_areas.csv"] = areas
@@ -229,19 +243,7 @@ def cmd_cross_corr(config, seed):
     if not lines or len(lines) != 2:
         raise InvalidInput("config needs 'lines': [start_line, stop_line]")
     sample, _, _ = _source_from_config(config)
-    record = sample(seed)
-    signal_per_ns = record.times(config.get("line_filter")).size / record.duration
-    detectors, _ = _detectors_from_config(config, signal_per_ns)
-    corr_cfg = config["correlation"]
-    hist = hbt.cross_correlate_lines(
-        record,
-        lines[0],
-        lines[1],
-        detectors,
-        seed + 1,
-        corr_cfg["window"],
-        corr_cfg["bin_width"],
-    )
+    _, hist, _ = _correlated(config, seed, sample, lines)
     g2 = hist.g2()
     pos = hist.tau_centers > 0
     summary = {

@@ -176,7 +176,8 @@ class AngularPowerSpectrum:
     # additionally been folded into the bin at 90 degrees, mimicking what a
     # far-field sphere many wavelengths across would intercept from light
     # trapped in the planar waveguide; the density integral then equals
-    # total_power by itself.
+    # total_power by itself.  radiated_power() leaves the folded power out,
+    # so radiated plus guided is total_power either way.
 
     def __post_init__(self):
         self.theta_grid = np.asarray(self.theta_grid, dtype=float)
@@ -195,7 +196,8 @@ class AngularPowerSpectrum:
 
     def radiated_power(self):
         edges = _bin_edges_rad(self.theta_grid)
-        return float(np.sum(self.power_density * np.diff(edges)))
+        folded = self.guided_power if self.guided_in_pattern else 0.0
+        return float(np.sum(self.power_density * np.diff(edges))) - folded
 
     def to_csv(self, path_or_buf):
         if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):

@@ -22,9 +22,6 @@ import numpy as np
 from .errors import InvalidInput
 from .qd import EmissionRecord
 
-AUTO = "auto"
-CROSS = "cross"
-
 _NS_PER_S = 1e9
 _PAIR_CHUNK = 1 << 20  # pairs histogrammed per call in correlate; bounds its memory
 
@@ -101,8 +98,7 @@ class CorrelationHistogram:
     n_a: int
     n_b: int
     duration: float
-    bin_width: float
-    mode: str = AUTO
+    bin_width: float  # ns, as laid out (2 * window over a whole number of bins)
     source_lines: Tuple[Optional[str], Optional[str]] = (None, None)
 
     def g2(self):
@@ -119,7 +115,9 @@ class CorrelationHistogram:
     def to_csv(self, path):
         g2 = self.g2()
         with open(path, "w") as fh:
-            fh.write(f"# mode = {self.mode}\n")
+            # the same line on both arms is an autocorrelation
+            mode = "auto" if self.source_lines[0] == self.source_lines[1] else "cross"
+            fh.write(f"# mode = {mode}\n")
             fh.write(f"# source_lines = {self.source_lines[0]},{self.source_lines[1]}\n")
             fh.write(f"# n_a = {self.n_a}\n")
             fh.write(f"# n_b = {self.n_b}\n")
@@ -135,13 +133,13 @@ def correlate(
     window,
     bin_width,
     duration,
-    mode=AUTO,
     source_lines=(None, None),
 ) -> CorrelationHistogram:
     """Histogram of all pairwise delays t_b - t_a within +-window (ns).
 
     Full correlation (every pair counted), not start-stop, so side peaks at
-    high repetition rates are unbiased.  Requires bin_width <= window / 50.
+    high repetition rates are unbiased.  Requires bin_width <= window / 50;
+    the histogram keeps the width of its whole number of bins.
     """
     if not (0.0 < window < np.inf and 0.0 < bin_width <= window / 50.0):
         raise InvalidInput(
@@ -170,7 +168,7 @@ def correlate(
         s = e
     centers = 0.5 * (edges[1:] + edges[:-1])
     return CorrelationHistogram(
-        centers, counts, len(a), len(b), duration, bin_width, mode, tuple(source_lines)
+        centers, counts, len(a), len(b), duration, 2 * window / n_bins, tuple(source_lines)
     )
 
 
@@ -196,20 +194,19 @@ class PeakAreas:
     orders: np.ndarray  # peak index m (0 at zero delay)
     areas: np.ndarray  # normalized to the mean far-peak area
     raw_counts: np.ndarray  # integrated counts per peak, for error estimates
-    repetition_rate: float  # MHz
     m_far: int  # normalization used the peaks with |m| >= m_far
 
-    def area(self, m):
-        idx = np.where(self.orders == m)[0]
+    def _index(self, m):
+        idx = np.flatnonzero(self.orders == m)
         if idx.size == 0:
             raise InvalidInput(f"peak {m} is outside the analyzed range")
-        return float(self.areas[idx[0]])
+        return idx[0]
+
+    def area(self, m):
+        return float(self.areas[self._index(m)])
 
     def raw(self, m):
-        idx = np.where(self.orders == m)[0]
-        if idx.size == 0:
-            raise InvalidInput(f"peak {m} is outside the analyzed range")
-        return float(self.raw_counts[idx[0]])
+        return float(self.raw_counts[self._index(m)])
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -222,7 +219,8 @@ class PeakAreas:
 def peak_area_analysis(hist: CorrelationHistogram, repetition_rate, m_far=10) -> PeakAreas:
     """Integrate a pulsed correlation histogram into per-peak areas.
 
-    Peak m collects the counts within half a period of m * period.  Areas are
+    Peak m collects the counts in [(m - 1/2) period, (m + 1/2) period), each
+    bin cut by a window edge shared in proportion to its overlap.  Areas are
     normalized by the mean area of the peaks with |m| >= m_far, which for any
     source without long-time memory is the Poisson level; area(0) then
     estimates g2(0).
@@ -237,21 +235,22 @@ def peak_area_analysis(hist: CorrelationHistogram, repetition_rate, m_far=10) ->
             f"histogram bins ({hist.bin_width} ns) are wider than the pulse period "
             f"({period:.4f} ns); peak windows would overlap"
         )
-    m_lim = int(np.floor((hist.tau_centers[-1] + hist.bin_width / 2) / period + 0.5)) - 1
+    half = hist.bin_width / 2
+    edges = np.append(hist.tau_centers - half, hist.tau_centers[-1] + half)
+    m_lim = int(np.floor(edges[-1] / period + 0.5)) - 1
     if m_lim < m_far:
         raise InvalidInput(
             f"window covers peaks only to |m|={m_lim}, need far peaks |m|>={m_far}"
         )
     orders = np.arange(-m_lim, m_lim + 1)
-    raw = np.empty(orders.size)
-    for k, m in enumerate(orders):
-        mask = np.abs(hist.tau_centers - m * period) < period / 2
-        raw[k] = hist.counts[mask].sum()
-    far = raw[np.abs(orders) >= m_far]
-    norm = far.mean()
+    # the cumulative count, linear within each bin, read at the window edges
+    cumulative = np.concatenate(([0.0], np.cumsum(hist.counts)))
+    bounds = (np.arange(-m_lim, m_lim + 2) - 0.5) * period
+    raw = np.diff(np.interp(bounds, edges, cumulative))
+    norm = raw[np.abs(orders) >= m_far].mean()
     if norm <= 0:
         raise InvalidInput("far peaks are empty; record is too short to normalize")
-    return PeakAreas(orders, raw / norm, raw, repetition_rate, int(m_far))
+    return PeakAreas(orders, raw / norm, raw, int(m_far))
 
 
 def cross_correlate_lines(
@@ -265,6 +264,4 @@ def cross_correlate_lines(
 ) -> CorrelationHistogram:
     """Cross-correlation between two emission lines (start on one arm, stop on the other)."""
     a, b = detect(record, detectors, seed, line_filter_a=line_start, line_filter_b=line_stop)
-    return correlate(
-        a, b, window, bin_width, record.duration, mode=CROSS, source_lines=(line_start, line_stop)
-    )
+    return correlate(a, b, window, bin_width, record.duration, (line_start, line_stop))

@@ -110,6 +110,8 @@ def kz_normal(n, k0, kpar):
 
 
 def _interface_rt(n1, n2, kz1, kz2, polarization):
+    if n1 == n2:  # no interface; the formulas below are 0/0 at kz = 0
+        return 0.0, 1.0
     if polarization == TE:
         denom = kz1 + kz2
         r = (kz1 - kz2) / denom

@@ -277,3 +277,53 @@ def unrefilled_zero_area(period, tau_x):
     distributed, P(|D| > x) = exp(-x / tau_x).
     """
     return float(np.exp(-0.5 * period / tau_x))
+
+
+# ---------------------------------------------------------------------------
+# Pulsed drive in its periodic steady state: the four-state rate model with
+# piecewise-constant rates over the phase segments of one period.
+
+
+def pulsed_photons_per_period(tau_x, tau_x2, capture, shelve_p, unshelve, marker_rate,
+                              sweep_rate, period, pulse_width, regime, sweep_delay=0.0):
+    """Expected (X, X2, marker) photons per period once the drive is periodic.
+
+    Times in ns.  Capture runs during the pulse [0, pulse_width).  Under
+    ``regime`` "none" the rest of the period is dark; otherwise sweep-out
+    starts ``sweep_delay`` after the pulse and empties X and X2 at
+    ``sweep_rate``, and "full_reset" also empties the shelved state and
+    never shelves the dot.  The period propagator is the product of
+    expm(Q_seg T_seg); its stationary vector is the state at the start of a
+    period.  The photons of a segment are p(0) (integral of expm(Q t) over
+    [0, T]) r, with r the per-state emission rate of the line; the integral
+    is the upper-right block of expm([[Q, I], [0, 0]] T) (Van Loan, IEEE
+    Trans. Autom. Control 23, 395 (1978)).
+    """
+    full = regime == "full_reset"
+    segments = [(pulse_width, capture, 0.0)]
+    if regime == "none":
+        segments.append((period - pulse_width, 0.0, 0.0))
+    else:
+        rest = period - pulse_width - sweep_delay
+        segments += [(sweep_delay, 0.0, 0.0), (rest, 0.0, sweep_rate)]
+    emission = np.zeros((4, 3))  # state (empty, X, X2, shelved) -> line (X, X2, marker)
+    emission[1, 0], emission[2, 1], emission[3, 2] = 1.0 / tau_x, 1.0 / tau_x2, marker_rate
+    propagators, integrals = [], []
+    for length, c, sweep in segments:
+        q = dc_generator(tau_x, tau_x2, c, 0.0 if full else shelve_p, unshelve)
+        np.fill_diagonal(q, 0.0)
+        q[1:, 0] += sweep * np.array([1.0, 1.0, float(full)])
+        np.fill_diagonal(q, -q.sum(axis=1))
+        block = np.zeros((8, 8))
+        block[:4, :4], block[:4, 4:] = q, np.eye(4)
+        e = expm(block * length)
+        propagators.append(e[:4, :4])
+        integrals.append(e[:4, 4:])
+    step = np.linalg.multi_dot(propagators)  # segments >= 2
+    a = np.vstack([step.T - np.eye(4), np.ones(4)])
+    p, *_ = np.linalg.lstsq(a, np.eye(5)[-1], rcond=None)
+    photons = np.zeros(3)
+    for propagator, integral in zip(propagators, integrals):
+        photons += p @ integral @ emission
+        p = p @ propagator
+    return photons

@@ -110,6 +110,7 @@ class TestExitCodes:
                                     "poisson": {"rate_per_ns": math.nan, "duration": 1e4}}),
             ("hbt", "laser_80mhz", {"source": "poisson_dc",
                                     "poisson": {"rate_per_ns": 0.1, "duration": math.inf}}),
+            ("hbt", "dc_eq1", {"detectors": 5e7}),
             ("hbt", "laser_80mhz", {"correlation": {"window": math.inf}}),
             ("hbt", "laser_80mhz", {"correlation": {"bin_width": math.nan}}),
             ("emission-pattern", "fig6b_cavity", {"pattern": {"angular_resolution": math.nan}}),
@@ -125,7 +126,7 @@ class TestExitCodes:
             ("emission-pattern", "fig6b_cavity", {"design": {"bottom_periods": 100000}}),
         ],
         ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
-             "dc-rate-nan", "dc-duration-inf", "window-inf", "bin-width-nan", "resolution-nan",
+             "dc-rate-nan", "dc-duration-inf", "detectors-not-a-block", "window-inf", "bin-width-nan", "resolution-nan",
              "resolution-tiny", "aperture-string", "no-apertures", "fractional-periods",
              "bottom-sweep-cap", "top-sweep-cap", "top-fractional", "top-string",
              "bottom-periods-bool", "design-periods-cap"],
@@ -275,6 +276,35 @@ class TestExitCodes:
         rc = cli.main(["hbt", "--config", path, "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "command,preset,override,keys",
+        [
+            ("hbt", "dc_eq1", {"target_g2_zero": 0.11},
+             ("noise_to_signal_ratio", "target_g2_zero")),
+            ("hbt", "dc_eq1", {"detectors": {"dark_rate": 5e7}},
+             ("noise_to_signal_ratio", "detectors.dark_rate")),
+            ("hbt", "dc_g2_011", {"detectors": {"dark_rate": 5e7}},
+             ("target_g2_zero", "detectors.dark_rate")),
+            ("cross-corr", "cascade_x2_x",
+             {"noise_to_signal_ratio": 0.5, "detectors": {"dark_rate": 1e6}},
+             ("noise_to_signal_ratio", "detectors.dark_rate")),
+            ("hbt", "dc_g2_011", {"target_g2_zero": 1.0}, ("target_g2_zero",)),
+        ],
+        ids=["ratio-and-target", "ratio-and-dark-rate", "target-and-dark-rate",
+             "cross-corr-ratio-and-dark-rate", "target-out-of-range"],
+    )
+    def test_noise_given_twice_exits_2_before_sampling(
+        self, tmp_path, capsys, no_sampling, command, preset, override, keys
+    ):
+        path = write_config(tmp_path, override)
+        rc = cli.main([command, "--preset", preset, "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+
+    def test_zero_dark_rate_beside_a_noise_ratio_is_legal(self):
+        assert cli._noise_ratio(load_preset("dc_eq1"), 0.0) == 1.0
+
     def test_cross_corr_needs_two_lines(self, tmp_path):
         config = small_hbt_config()
         config["lines"] = ["X"]
@@ -324,6 +354,16 @@ class TestRuns:
         assert summary["total_power"] == pytest.approx(1.0, abs=1e-4)
         assert (tmp_path / "emission_pattern.csv").exists()
         assert "eta(NA=0.5)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset", ["fig6a_no_cavity", "fig6b_cavity"])
+    def test_radiated_and_guided_power_add_up_to_total(self, tmp_path, preset):
+        # fig6b folds its guided power into the pattern; radiated_power leaves it out
+        assert cli.main(["emission-pattern", "--preset", preset, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["radiated_power"] + summary["guided_power"] == pytest.approx(
+            summary["total_power"], rel=1e-12
+        )
+        assert summary["guided_power"] > 0.0
 
     def test_hbt_writes_histogram_and_summary(self, tmp_path):
         path = write_config(tmp_path, small_hbt_config())

@@ -202,6 +202,14 @@ class TestCorrelate:
         chunked = correlate(a, b, window=10.0, bin_width=0.1, duration=1e3).counts
         assert np.array_equal(whole, chunked)
 
+    def test_histogram_keeps_the_width_of_its_bins(self):
+        # 2 * 10 / 0.15 = 133.3: 133 bins, each 0.25 % wider than asked for
+        a = np.sort(np.random.default_rng(37).uniform(0, 1e3, 500))
+        h = correlate(a, a, window=10.0, bin_width=0.15, duration=1e3)
+        assert h.tau_centers.size == 133
+        assert h.bin_width == 20.0 / 133
+        assert np.diff(h.tau_centers) == pytest.approx(h.bin_width, rel=1e-9)
+
     def test_bin_window_contract(self):
         with pytest.raises(InvalidInput):
             correlate([], [], window=10.0, bin_width=1.0, duration=1e3)
@@ -221,6 +229,15 @@ class TestCorrelate:
         lines = path.read_text().splitlines()
         assert lines[5] == "tau_ns,counts,g2_normalized"
         assert len(lines) == 6 + len(h.tau_centers)
+
+    @pytest.mark.parametrize(
+        "source_lines,mode", [((None, None), "auto"), (("X", "X"), "auto"), (("X2", "X"), "cross")]
+    )
+    def test_csv_mode_follows_the_source_lines(self, tmp_path, source_lines, mode):
+        a = np.arange(10.0)
+        correlate(a, a, 50.0, 1.0, 10.0, source_lines).to_csv(tmp_path / "hist.csv")
+        header = (tmp_path / "hist.csv").read_text().splitlines()[:2]
+        assert header == [f"# mode = {mode}", "# source_lines = {},{}".format(*source_lines)]
 
 
 class TestClosedForm:
@@ -264,6 +281,20 @@ class TestPeakAreas:
             raw = areas.raw(m)
             se = areas.area(m) / np.sqrt(max(raw, 1.0))
             assert abs(areas.area(m) - 1.0) < 3.0 * se + 0.02
+
+    @pytest.mark.parametrize(
+        "rate,window,bin_width",
+        [(1070.0, 12.0, 0.05), (80.0, 160.0, 0.5)],
+        ids=["period-not-whole-bins", "bins-centred-on-window-edges"],
+    )
+    def test_flat_histogram_gives_every_window_one_period(self, rate, window, bin_width):
+        n_bins = int(round(2 * window / bin_width))
+        edges = np.linspace(-window, window, n_bins + 1)
+        centers = 0.5 * (edges[1:] + edges[:-1])
+        h = CorrelationHistogram(centers, np.ones(n_bins), 1, 1, 1.0, bin_width)
+        areas = peak_area_analysis(h, rate, m_far=10)
+        np.testing.assert_allclose(areas.raw_counts, 1e3 / rate / bin_width, rtol=1e-9)
+        np.testing.assert_allclose(areas.areas, 1.0, rtol=1e-9)
 
     def test_overlapping_windows_rejected(self):
         a = np.sort(np.random.default_rng(20).uniform(0, 1e4, 2000))

@@ -95,6 +95,13 @@ class TestStack:
             total = power_reflectance(stack, q) + power_transmittance(stack, q)
             assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("pol", [TE, TM])
+    def test_equal_media_pass_grazing_light_unchanged(self, pol):
+        # kz = 0 on both sides, where the interface formulas are 0/0
+        kpar = 3.5 * 2 * np.pi / LAM
+        r, t = stack_rt(LayerStack(3.5, (), 3.5), LAM, kpar, pol)
+        assert (r, t) == (0.0, 1.0)
+
     def test_reversed_stack_reflectance_matches(self):
         stack = build_bragg(N_GAAS, N_ALAS, LAM, 4, entry_index=1.0, exit_index=N_GAAS)
         q = query()

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import dc_steady_state, x_waiting_time_cdf
+from oracles import dc_steady_state, pulsed_photons_per_period, x_waiting_time_cdf
 from speds import qd
 from speds.errors import InvalidInput
 from speds.presets import load_preset
@@ -240,6 +240,37 @@ class TestRenewalSampler:
         # no batch edge leaves a hole: the longest wait is an ordinary one
         # (an Exp(0.2) shelved dwell beyond 150 ns has probability 1e-13)
         assert gaps.max() < 150.0
+
+
+class TestPulsedSampler:
+    @pytest.mark.parametrize(
+        "regime,delay,seed",
+        [(SWEEP_NONE, 0.0, 61), (SWEEP_ELECTRONS, 0.0, 62), (SWEEP_ELECTRONS, 0.45, 63),
+         (SWEEP_FULL, 0.7, 64)],
+    )
+    def test_photons_per_period_match_the_periodic_steady_state(self, regime, delay, seed):
+        # the counts of successive periods are correlated through the
+        # shelved state, so the SE comes from the spread of sub-interval counts
+        model = QDModel(shelve_probability=0.2, unshelve_rate=0.3, marker_rate=0.5)
+        drive = DriveProgram(mode=MODE_PULSED, repetition_rate=80.0, pulse_width=300.0,
+                             sweep_out_regime=regime, sweep_delay=delay, duration=1e6)
+        rec = simulate(model, drive, seed)
+        expected = pulsed_photons_per_period(
+            model.tau_x, model.tau_x2, model.capture_rate, model.shelve_probability,
+            model.unshelve_rate, model.marker_rate, model.sweep_rate, drive.period,
+            drive.pulse_width * 1e-3, regime, delay,
+        )
+        n_sub = 40
+        periods = drive.duration / drive.period / n_sub  # whole periods per sub-interval
+        edges = np.linspace(0.0, drive.duration, n_sub + 1)
+        for line, mean in zip(LINES, expected):
+            counts, _ = np.histogram(rec.times(line), bins=edges)
+            rate = counts.mean() / periods
+            se = counts.std(ddof=1) / np.sqrt(n_sub) / periods
+            if regime == SWEEP_FULL and line == LINE_MARKER:  # full reset never shelves
+                assert mean == pytest.approx(0.0, abs=1e-12) and counts.sum() == 0
+            else:
+                assert abs(rate - mean) < 4.0 * se, (line, rate, mean, se)
 
 
 class TestDecayProfile:
