@@ -31,12 +31,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _leaves = dict.fromkeys
-_QD_SOURCE_KEYS = {
+# The keys every photon source shares: detection, noise and correlation.
+_DETECTION_KEYS = {
     "source": None,
-    "model": qd.QDModel,
-    "drive": qd.DriveProgram,
-    "poisson": _leaves(("rate_per_ns", "duration", "repetition_rate",
-                        "mean_photons_per_pulse", "jitter_ns")),
     "detectors": hbt.DetectorPair,
     "noise_to_signal_ratio": None,
     "target_g2_zero": None,
@@ -51,6 +48,8 @@ _SWEEP_STUDIES = {
 
 
 def _geometry_from_config(config):
+    if "homogeneous" in config and "design" in config:
+        raise InvalidInput("config gives both a 'design' and a 'homogeneous' block; give one")
     if "homogeneous" in config:
         n = config["homogeneous"].get("refractive_index", 1.0)
         lam = DESIGN_WAVELENGTH_NM
@@ -118,36 +117,51 @@ def cmd_cavity_sweep(config, seed):
     return summary, files, "\n".join(lines)
 
 
-def _source_from_config(config):
-    """The configured photon source, built and checked but not yet sampled.
+def _qd_source(config):
+    model = qd.QDModel(**config.get("model", {}))
+    drive = qd.DriveProgram(**config.get("drive", {}))
+    sample = partial(qd.simulate, model, drive)
+    if drive.mode == qd.MODE_PULSED:
+        return sample, drive.repetition_rate, drive
+    return sample, None, None
 
-    Returns ``(sample, repetition_rate, pulsed_drive)``: ``sample(seed)`` draws
-    the ``EmissionRecord``; the repetition rate (MHz) is None for a DC source,
-    and the drive is the qd source's pulsed ``DriveProgram``, else None.
-    """
+
+def _poisson_dc_source(config):
+    p = config["poisson"]
+    return partial(qd.poisson_photon_record, p["rate_per_ns"], p["duration"]), None, None
+
+
+def _poisson_pulsed_source(config):
+    p = config["poisson"]
+    jitter = {"jitter_ns": p["jitter_ns"]} if "jitter_ns" in p else {}
+    args = (p["repetition_rate"], p["mean_photons_per_pulse"], p["duration"])
+    return partial(qd.pulsed_poisson_record, *args, **jitter), args[0], None
+
+
+# Each photon source's builder and the config keys it reads beside the
+# detection keys.  A builder checks the source without sampling it and returns
+# ``(sample, repetition_rate, pulsed_drive)``: ``sample(seed)`` draws the
+# ``EmissionRecord``, the rate (MHz) is None for a DC source, and the drive is
+# a qd source's pulsed ``DriveProgram``, else None.
+_SOURCES = {
+    "qd": (_qd_source, {"model": qd.QDModel, "drive": qd.DriveProgram}),
+    "poisson_dc": (_poisson_dc_source, {"poisson": _leaves(("rate_per_ns", "duration"))}),
+    "poisson_pulsed": (_poisson_pulsed_source, {"poisson": _leaves(
+        ("repetition_rate", "mean_photons_per_pulse", "duration", "jitter_ns"))}),
+}
+
+
+def _source_keys(config):
+    """The keys of the photon source a config names, with the detection keys."""
     source = config.get("source", "qd")
-    if source == "qd":
-        model = qd.QDModel(**config.get("model", {}))
-        drive = qd.DriveProgram(**config.get("drive", {}))
-        sample = partial(qd.simulate, model, drive)
-        if drive.mode == qd.MODE_PULSED:
-            return sample, drive.repetition_rate, drive
-        return sample, None, None
-    if source == "poisson_dc":
-        p = config["poisson"]
-        return partial(qd.poisson_photon_record, p["rate_per_ns"], p["duration"]), None, None
-    if source == "poisson_pulsed":
-        p = config["poisson"]
-        jitter = {"jitter_ns": p["jitter_ns"]} if "jitter_ns" in p else {}
-        sample = partial(
-            qd.pulsed_poisson_record,
-            p["repetition_rate"],
-            p["mean_photons_per_pulse"],
-            p["duration"],
-            **jitter,
-        )
-        return sample, p["repetition_rate"], None
-    raise InvalidInput(f"unknown source {source!r}")
+    if source not in _SOURCES:
+        raise InvalidInput(f"unknown source {source!r}; known sources: {', '.join(_SOURCES)}")
+    return {**_DETECTION_KEYS, **_SOURCES[source][1]}
+
+
+def _source_from_config(config):
+    """The configured photon source, built and checked but not yet sampled."""
+    return _SOURCES[config.get("source", "qd")][0](config)
 
 
 def _noise_ratio(config, dark_rate):
@@ -163,7 +177,10 @@ def _noise_ratio(config, dark_rate):
         raise InvalidInput(f"noise is given twice: by {given[0]} and by {given[1]}")
     target = config.get("target_g2_zero")
     if target is None:
-        return config.get("noise_to_signal_ratio")
+        ratio = config.get("noise_to_signal_ratio")
+        if ratio is not None and not 0.0 <= ratio < np.inf:
+            raise InvalidInput(f"noise_to_signal_ratio must be finite and >= 0, got {ratio}")
+        return ratio
     if not 0.0 <= target < 1.0:
         raise InvalidInput(f"target_g2_zero must be in [0, 1), got {target}")
     # invert g2 = (2x + x^2) / (1 + x)^2 for the noise/signal ratio x
@@ -284,15 +301,15 @@ _COMMANDS = {
     "cavity-sweep": (cmd_cavity_sweep, _sweep_keys),
     "hbt": (
         cmd_hbt,
-        {
-            **_QD_SOURCE_KEYS,
+        lambda config: {
+            **_source_keys(config),
             "analysis": {
                 "m_far": None,
                 "decay_fit": _leaves(("line", "bin_ps", "t_start", "t_stop")),
             },
         },
     ),
-    "cross-corr": (cmd_cross_corr, {**_QD_SOURCE_KEYS, "lines": None}),
+    "cross-corr": (cmd_cross_corr, lambda config: {**_source_keys(config), "lines": None}),
     "throughput": (cmd_throughput, {"factors": _leaves(_THROUGHPUT_FACTORS)}),
 }
 

@@ -11,7 +11,6 @@ Two geometry presets are built in:
     dipole centered at the field antinode.
 """
 
-import csv
 import numbers
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -91,11 +90,10 @@ class SweepResult:
         return self.efficiencies[self.argmax]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["periods", "efficiency"])
-            for p, e in zip(self.parameter_values, self.efficiencies):
-                writer.writerow([p, f"{e:.8e}"])
+        table = np.column_stack((self.parameter_values, self.efficiencies))
+        np.savetxt(
+            path, table, fmt="%d,%.8e", header="periods,efficiency", comments="", newline="\r\n"
+        )
 
 
 def geometry_for(design: CavityDesign) -> EmissionGeometry:

@@ -200,39 +200,13 @@ class AngularPowerSpectrum:
         return float(np.sum(self.power_density * np.diff(edges))) - folded
 
     def to_csv(self, path_or_buf):
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w") as fh:
-                self.to_csv(fh)
-            return
-        fh = path_or_buf
-        fh.write(f"# guided_power = {self.guided_power:.10e}\n")
-        fh.write(f"# total_power = {self.total_power:.10e}\n")
-        fh.write(f"# guided_in_pattern = {int(self.guided_in_pattern)}\n")
-        fh.write("theta_deg,power_density\n")
-        for th, p in zip(self.theta_grid, self.power_density):
-            fh.write(f"{th:.4f},{p:.10e}\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        guided = total = None
-        folded = False
-        theta, dens = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("#"):
-                    key, _, val = line[1:].partition("=")
-                    if key.strip() == "guided_power":
-                        guided = float(val)
-                    elif key.strip() == "total_power":
-                        total = float(val)
-                    elif key.strip() == "guided_in_pattern":
-                        folded = bool(int(val))
-                elif line and not line.startswith("theta_deg"):
-                    a, b = line.split(",")
-                    theta.append(float(a))
-                    dens.append(float(b))
-        return cls(np.array(theta), np.array(dens), guided, total, folded)
+        header = (
+            f"# guided_power = {self.guided_power:.10e}\n"
+            f"# total_power = {self.total_power:.10e}\n"
+            f"# guided_in_pattern = {int(self.guided_in_pattern)}\ntheta_deg,power_density"
+        )
+        table = np.column_stack((self.theta_grid, self.power_density))
+        np.savetxt(path_or_buf, table, fmt="%.4f,%.10e", header=header, comments="")
 
 
 class _CavityFields:

@@ -31,14 +31,11 @@ class DetectorPair:
     efficiency: float = 1.0  # per-arm detection probability after the splitter
     dark_rate: float = 0.0  # counts/s, both detectors combined
     timing_jitter_sigma: float = 0.0  # ps, Gaussian timing response
-    splitter_ratio: float = 0.5  # probability of routing a photon to arm A
     dead_time: float = 0.0  # ns per arm; 0 disables (not part of the default chain)
 
     def __post_init__(self):
         if not 0.0 < self.efficiency <= 1.0:
             raise InvalidInput(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not 0.0 < self.splitter_ratio < 1.0:
-            raise InvalidInput(f"splitter_ratio must be in (0, 1), got {self.splitter_ratio}")
         for name in ("dark_rate", "timing_jitter_sigma", "dead_time"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
@@ -66,7 +63,7 @@ def detect(
     rng = np.random.default_rng(seed)
     duration = record.duration
     n = record.time_ns.size
-    to_b = rng.random(n) >= detectors.splitter_ratio
+    to_b = rng.random(n) >= 0.5  # a 50:50 splitter, as the dark counts split
     passed = record.mask(line_filter_a) & ~to_b | record.mask(line_filter_b) & to_b
     passed &= rng.random(n) < detectors.efficiency
     sigma = detectors.timing_jitter_sigma * 1e-3  # ps -> ns
@@ -113,18 +110,15 @@ class CorrelationHistogram:
         return float(self.g2()[idx])
 
     def to_csv(self, path):
-        g2 = self.g2()
-        with open(path, "w") as fh:
-            # the same line on both arms is an autocorrelation
-            mode = "auto" if self.source_lines[0] == self.source_lines[1] else "cross"
-            fh.write(f"# mode = {mode}\n")
-            fh.write(f"# source_lines = {self.source_lines[0]},{self.source_lines[1]}\n")
-            fh.write(f"# n_a = {self.n_a}\n")
-            fh.write(f"# n_b = {self.n_b}\n")
-            fh.write(f"# duration_ns = {self.duration:.9f}\n")
-            fh.write("tau_ns,counts,g2_normalized\n")
-            for tau, c, g in zip(self.tau_centers, self.counts, g2):
-                fh.write(f"{tau:.6f},{int(c)},{g:.8e}\n")
+        line_a, line_b = self.source_lines
+        # the same line on both arms is an autocorrelation
+        header = (
+            f"# mode = {'auto' if line_a == line_b else 'cross'}\n"
+            f"# source_lines = {line_a},{line_b}\n# n_a = {self.n_a}\n# n_b = {self.n_b}\n"
+            f"# duration_ns = {self.duration:.9f}\ntau_ns,counts,g2_normalized"
+        )
+        table = np.column_stack((self.tau_centers, self.counts, self.g2()))
+        np.savetxt(path, table, fmt="%.6f,%d,%.8e", header=header, comments="")
 
 
 def correlate(
@@ -209,11 +203,9 @@ class PeakAreas:
         return float(self.raw_counts[self._index(m)])
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# m_far = {self.m_far}\n")
-            fh.write("m,area\n")
-            for m, a in zip(self.orders, self.areas):
-                fh.write(f"{int(m)},{a:.8e}\n")
+        table = np.column_stack((self.orders, self.areas))
+        header = f"# m_far = {self.m_far}\nm,area"
+        np.savetxt(path, table, fmt="%d,%.8e", header=header, comments="")
 
 
 def peak_area_analysis(hist: CorrelationHistogram, repetition_rate, m_far=10) -> PeakAreas:

@@ -18,7 +18,6 @@ are piecewise constant across pulse edges and an event loop re-draws the
 waiting time at every edge, which is exact for exponential clocks.
 """
 
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
@@ -92,6 +91,13 @@ class DriveProgram:
             raise InvalidInput(f"mode must be DC or pulsed, got {self.mode!r}")
         if self.sweep_out_regime not in (SWEEP_NONE, SWEEP_ELECTRONS, SWEEP_FULL):
             raise InvalidInput(f"unknown sweep-out regime {self.sweep_out_regime!r}")
+        if self.mode == MODE_DC:  # sweep-out runs between pulses only
+            for name, off in (("sweep_out_regime", SWEEP_NONE), ("sweep_delay", 0.0)):
+                if getattr(self, name) != off:
+                    raise InvalidInput(
+                        f"a DC drive has no sweep-out: {name} must be {off!r}, "
+                        f"got {getattr(self, name)!r}"
+                    )
         if self.duration <= 0:
             raise InvalidInput("duration must be > 0")
         if self.mode == MODE_PULSED:
@@ -152,21 +158,6 @@ class EmissionRecord:
 
     def times(self, line=None):
         return self.time_ns[self.mask(line)]
-
-    def to_csv(self, path):
-        rows = np.rec.fromarrays([self.time_ns, np.array(LINES)[self.line_code]])
-        np.savetxt(path, rows, fmt="%.9f,%s", header="time_ns,line", comments="")
-
-    @classmethod
-    def from_csv(cls, path, duration=None):
-        with warnings.catch_warnings():  # a header-only file is an empty record
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype="f8,U8", ndmin=1)
-        names, index = np.unique(rows["f1"], return_inverse=True)
-        codes = np.array([_line_code(n) for n in names.tolist()], dtype=np.int8)[index]
-        if duration is None:
-            duration = float(rows["f0"][-1]) if rows.size else 0.0
-        return cls(rows["f0"], codes, duration)
 
 
 def _phase_schedule(drive: DriveProgram):
@@ -387,13 +378,6 @@ def fit_decay_time(centers, counts, t_start, t_stop):
     if slope >= 0:
         raise InvalidInput("histogram tail is not decaying in the fit window")
     return -1.0 / slope
-
-
-def quantum_efficiency_factor(emission_window_ns, tau_ns):
-    """Fraction of excitons that radiate before a hard sweep-out cutoff."""
-    if emission_window_ns < 0 or tau_ns <= 0:
-        raise InvalidInput("window must be >= 0 and lifetime > 0")
-    return 1.0 - np.exp(-emission_window_ns / tau_ns)
 
 
 def throughput_ratio(collection_gain, rate_gain, qe_factor):

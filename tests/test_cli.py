@@ -26,6 +26,15 @@ def no_sampling(monkeypatch):
         monkeypatch.setattr(cli.qd, name, never)
 
 
+def poisson_dc_config(**poisson):
+    return {
+        "command": "hbt",
+        "source": "poisson_dc",
+        "poisson": {"rate_per_ns": 0.1, "duration": 1e4, **poisson},
+        "correlation": {"window": 10.0, "bin_width": 0.1},
+    }
+
+
 def small_hbt_config():
     return {
         "source": "qd",
@@ -106,10 +115,8 @@ class TestExitCodes:
             ("hbt", "laser_80mhz", {"poisson": {"jitter_ns": -1.0}}),
             ("hbt", "laser_80mhz", {"poisson": {"mean_photons_per_pulse": -0.3}}),
             ("hbt", "laser_80mhz", {"poisson": {"duration": math.inf}}),
-            ("hbt", "laser_80mhz", {"source": "poisson_dc",
-                                    "poisson": {"rate_per_ns": math.nan, "duration": 1e4}}),
-            ("hbt", "laser_80mhz", {"source": "poisson_dc",
-                                    "poisson": {"rate_per_ns": 0.1, "duration": math.inf}}),
+            ("hbt", None, poisson_dc_config(rate_per_ns=math.nan)),
+            ("hbt", None, poisson_dc_config(duration=math.inf)),
             ("hbt", "dc_eq1", {"detectors": 5e7}),
             ("hbt", "laser_80mhz", {"correlation": {"window": math.inf}}),
             ("hbt", "laser_80mhz", {"correlation": {"bin_width": math.nan}}),
@@ -124,16 +131,18 @@ class TestExitCodes:
             ("cavity-sweep", "top_mirror_study", {"max_top": "3"}),
             ("cavity-sweep", "top_mirror_study", {"bottom_periods": True}),
             ("emission-pattern", "fig6b_cavity", {"design": {"bottom_periods": 100000}}),
+            ("emission-pattern", "fig6b_cavity", {"homogeneous": {"refractive_index": 1.0}}),
         ],
         ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
              "dc-rate-nan", "dc-duration-inf", "detectors-not-a-block", "window-inf", "bin-width-nan", "resolution-nan",
              "resolution-tiny", "aperture-string", "no-apertures", "fractional-periods",
              "bottom-sweep-cap", "top-sweep-cap", "top-fractional", "top-string",
-             "bottom-periods-bool", "design-periods-cap"],
+             "bottom-periods-bool", "design-periods-cap", "design-and-homogeneous"],
     )
     def test_bad_numbers_in_preset_blocks_exit_2(self, tmp_path, capsys, command, preset, override):
         path = write_config(tmp_path, override)
-        rc = cli.main([command, "--preset", preset, "--config", path, "--out", str(tmp_path)])
+        on_preset = ["--preset", preset] if preset else []
+        rc = cli.main([command, *on_preset, "--config", path, "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -145,8 +154,11 @@ class TestExitCodes:
             ({"correlation": {"bin_widht": 0.5}}, "correlation.bin_widht"),
             ({"poisson": {"jiter_ns": 0.1}}, "poisson.jiter_ns"),
             ({"analysis": {"repetition_rate": 80.0}}, "analysis.repetition_rate"),
+            ({"model": {"tau_x": 5.0}, "drive": {"duration": 10.0}}, "model"),
+            ({"source": "poisson_dc"}, "poisson.mean_photons_per_pulse"),
         ],
-        ids=["top-level", "analysis", "correlation", "poisson", "analysis-repetition-rate"],
+        ids=["top-level", "analysis", "correlation", "poisson", "analysis-repetition-rate",
+             "qd-keys-on-poisson-source", "pulsed-keys-on-dc-source"],
     )
     def test_unknown_config_key_exits_2_before_any_work(self, tmp_path, capsys, override, key):
         path = write_config(tmp_path, override)
@@ -167,8 +179,11 @@ class TestExitCodes:
              "factors.rate_from_mhz"),
             ("hbt", "dc_eq1", {"detectors": {"background_rate": 5e7}},
              "detectors.background_rate"),
+            ("hbt", "dc_eq1", {"detectors": {"splitter_ratio": 0.3}}, "detectors.splitter_ratio"),
+            ("hbt", "ghz_ideal", {"poisson": {"rate_per_ns": 3.0}}, "poisson"),
         ],
-        ids=["design-aperture", "homogeneous-wavelength", "rate-from-mhz", "background-rate"],
+        ids=["design-aperture", "homogeneous-wavelength", "rate-from-mhz", "background-rate",
+             "splitter-ratio", "poisson-keys-on-qd-source"],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, command, preset, override, key):
         path = write_config(tmp_path, override)
@@ -182,8 +197,11 @@ class TestExitCodes:
             ("dc_eq1", {"analysis": {"m_far": 10}}, "analysis.m_far"),
             ("laser_80mhz", {"analysis": {"decay_fit": {"t_start": 1.5, "t_stop": 9.0}}},
              "analysis.decay_fit"),
+            ("dc_eq1", {"model": {"shelve_probability": 0.5},
+                        "drive": {"sweep_out_regime": "full_reset"}}, "sweep_out_regime"),
+            ("dc_eq1", {"drive": {"sweep_delay": 0.3}}, "sweep_delay"),
         ],
-        ids=["peak-areas-on-dc", "decay-fit-on-poisson"],
+        ids=["peak-areas-on-dc", "decay-fit-on-poisson", "sweep-out-on-dc", "sweep-delay-on-dc"],
     )
     def test_analysis_without_a_pulsed_source_exits_2_before_sampling(
         self, tmp_path, capsys, no_sampling, preset, override, key
@@ -262,8 +280,10 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
     def test_missing_key_named_by_dotted_path(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"source": "poisson_dc"})
-        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path, "--out", str(tmp_path)])
+        config = poisson_dc_config()
+        del config["poisson"]["rate_per_ns"]
+        path = write_config(tmp_path, config)
+        rc = cli.main(["hbt", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == "error: missing config key poisson.rate_per_ns\n"
 
@@ -289,9 +309,10 @@ class TestExitCodes:
              {"noise_to_signal_ratio": 0.5, "detectors": {"dark_rate": 1e6}},
              ("noise_to_signal_ratio", "detectors.dark_rate")),
             ("hbt", "dc_g2_011", {"target_g2_zero": 1.0}, ("target_g2_zero",)),
+            ("hbt", "dc_eq1", {"noise_to_signal_ratio": -1.0}, ("noise_to_signal_ratio",)),
         ],
         ids=["ratio-and-target", "ratio-and-dark-rate", "target-and-dark-rate",
-             "cross-corr-ratio-and-dark-rate", "target-out-of-range"],
+             "cross-corr-ratio-and-dark-rate", "target-out-of-range", "ratio-negative"],
     )
     def test_noise_given_twice_exits_2_before_sampling(
         self, tmp_path, capsys, no_sampling, command, preset, override, keys

@@ -152,6 +152,14 @@ class TestCsv:
         assert text.splitlines()[0] == "periods,efficiency"
         assert "1,2.00000000e-02" in text
 
+    def test_sweep_csv_bytes_end_lines_in_crlf(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        SweepResult([0, 1, 12], [0.01, 0.02, 0.5]).to_csv(path)
+        assert path.read_bytes() == (
+            b"periods,efficiency\r\n0,1.00000000e-02\r\n1,2.00000000e-02\r\n"
+            b"12,5.00000000e-01\r\n"
+        )
+
     def test_cavity_sweep_writes_one_csv_per_aperture(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"numerical_apertures": [0.3, 0.5], "max_periods": 12}))

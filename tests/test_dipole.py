@@ -197,15 +197,15 @@ class TestReciprocityOracle:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        spec = emission_pattern(homogeneous_geometry(), angular_resolution=0.5)
+    def test_folded_csv_bytes(self, tmp_path):
+        spec = AngularPowerSpectrum([0.0, 90.0, 180.0], [0.5, 2.0, 0.25], 0.75, 3.0, True)
         path = tmp_path / "pattern.csv"
         spec.to_csv(path)
-        back = AngularPowerSpectrum.from_csv(path)
-        assert np.allclose(back.theta_grid, spec.theta_grid)
-        assert np.allclose(back.power_density, spec.power_density, rtol=1e-9)
-        assert back.total_power == pytest.approx(spec.total_power)
-        assert back.guided_in_pattern == spec.guided_in_pattern
+        assert path.read_bytes() == (
+            b"# guided_power = 7.5000000000e-01\n# total_power = 3.0000000000e+00\n"
+            b"# guided_in_pattern = 1\ntheta_deg,power_density\n"
+            b"0.0000,5.0000000000e-01\n90.0000,2.0000000000e+00\n180.0000,2.5000000000e-01\n"
+        )
 
     def test_to_csv_accepts_buffer(self):
         spec = emission_pattern(homogeneous_geometry(), angular_resolution=0.5)

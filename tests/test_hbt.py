@@ -8,6 +8,7 @@ from speds.errors import InvalidInput
 from speds.hbt import (
     CorrelationHistogram,
     DetectorPair,
+    PeakAreas,
     correlate,
     cross_correlate_lines,
     detect,
@@ -230,6 +231,24 @@ class TestCorrelate:
         assert lines[5] == "tau_ns,counts,g2_normalized"
         assert len(lines) == 6 + len(h.tau_centers)
 
+    def test_csv_bytes(self, tmp_path):
+        h = CorrelationHistogram(
+            np.array([-0.5, 0.5]), np.array([3.0, 1.0]), 2, 4, 8.0, 1.0, ("X2", "X")
+        )
+        h.to_csv(tmp_path / "hist.csv")
+        assert (tmp_path / "hist.csv").read_bytes() == (
+            b"# mode = cross\n# source_lines = X2,X\n# n_a = 2\n# n_b = 4\n"
+            b"# duration_ns = 8.000000000\ntau_ns,counts,g2_normalized\n"
+            b"-0.500000,3,3.00000000e+00\n0.500000,1,1.00000000e+00\n"
+        )
+
+    def test_peak_areas_csv_bytes(self, tmp_path):
+        raw = np.array([4.0, 1.0, 4.0])
+        PeakAreas(np.arange(-1, 2), raw / 4.0, raw, 1).to_csv(tmp_path / "peaks.csv")
+        assert (tmp_path / "peaks.csv").read_bytes() == (
+            b"# m_far = 1\nm,area\n-1,1.00000000e+00\n0,2.50000000e-01\n1,1.00000000e+00\n"
+        )
+
     @pytest.mark.parametrize(
         "source_lines,mode", [((None, None), "auto"), (("X", "X"), "auto"), (("X2", "X"), "cross")]
     )
@@ -396,10 +415,6 @@ class TestValidationHbt:
     def test_bad_efficiency_rejected(self):
         with pytest.raises(InvalidInput):
             DetectorPair(efficiency=0.0)
-
-    def test_bad_splitter_rejected(self):
-        with pytest.raises(InvalidInput):
-            DetectorPair(splitter_ratio=1.0)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidInput):

@@ -24,7 +24,6 @@ from speds.qd import (
     fit_decay_time,
     poisson_photon_record,
     pulsed_poisson_record,
-    quantum_efficiency_factor,
     simulate,
     throughput_ratio,
 )
@@ -82,15 +81,6 @@ class TestDeterminism:
         drive = DriveProgram(duration=1e4)
         assert not same_record(simulate(model, drive, seed=7), simulate(model, drive, seed=8))
 
-    def test_csv_round_trip_byte_identical(self, tmp_path):
-        model = QDModel()
-        drive = DriveProgram(duration=5e3)
-        rec = simulate(model, drive, seed=9)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        rec.to_csv(p1)
-        EmissionRecord.from_csv(p1, duration=rec.duration).to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
 
 class TestColumnarRecord:
     @staticmethod
@@ -110,21 +100,6 @@ class TestColumnarRecord:
         assert rec.times().tolist() == [1.5, 2.25, 3.0]
         with pytest.raises(InvalidInput):
             rec.times("Y")
-
-    def test_csv_bytes_and_round_trip(self, tmp_path):
-        path = tmp_path / "rec.csv"
-        self.record().to_csv(path)
-        assert path.read_text() == (
-            "time_ns,line\n1.500000000,X\n2.250000000,marker\n3.000000000,X2\n"
-        )
-        assert same_record(EmissionRecord.from_csv(path), self.record(duration=3.0))
-
-    def test_empty_csv_round_trip(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        EmissionRecord([], [], 10.0).to_csv(path)
-        assert path.read_text() == "time_ns,line\n"
-        back = EmissionRecord.from_csv(path, duration=10.0)
-        assert back.time_ns.size == 0 and back.duration == 10.0
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(InvalidInput):
@@ -336,10 +311,6 @@ class TestDecayProfile:
         cut = simulate(model, self.fig8_drive(SWEEP_FULL, 3e6), seed=24)
         ratio = len(cut.times(LINE_X)) / len(free.times(LINE_X))
         assert ratio == pytest.approx(expected, abs=tol)
-
-    def test_closed_form_factor(self):
-        assert quantum_efficiency_factor(0.47, 2.1) == pytest.approx(0.2005, abs=1e-3)
-        assert quantum_efficiency_factor(0.47, 0.68) == pytest.approx(0.4992, abs=1e-3)
 
     def test_requires_pulsed_drive(self):
         rec = simulate(QDModel(), DriveProgram(mode=MODE_DC, duration=1e3), seed=25)
