@@ -45,6 +45,13 @@ _SWEEP_STUDIES = {
     "bottom": _leaves(("max_periods", "numerical_apertures")),
     "top": _leaves(("bottom_periods", "max_top", "numerical_aperture")),
 }
+# A DC drive has no pulses and no sweep-out between them.
+_DC_DRIVE_KEYS = _leaves(("mode", "duration"))
+# Expected events a photon source may draw: photons, plus the pulses of a
+# pulsed Poisson source or the segment edges of a pulsed qd drive.  The
+# largest preset, fig10_full_reset, asks for about 9e6 (3e6 captures, 6e6
+# edges); far above it a run would exhaust memory or time.
+_MAX_SOURCE_EVENTS = 1e8
 
 
 def _geometry_from_config(config):
@@ -117,9 +124,26 @@ def cmd_cavity_sweep(config, seed):
     return summary, files, "\n".join(lines)
 
 
+def _check_work(events, key, value):
+    """Reject a source whose expected events exceed ``_MAX_SOURCE_EVENTS``."""
+    if events > _MAX_SOURCE_EVENTS:
+        raise InvalidInput(
+            f"{key} {value:g} asks for about {events:.2g} source events (photons, "
+            f"pulses, drive edges), more than the cap of {_MAX_SOURCE_EVENTS:.0e}"
+        )
+
+
 def _qd_source(config):
     model = qd.QDModel(**config.get("model", {}))
     drive = qd.DriveProgram(**config.get("drive", {}))
+    # a capture precedes every X and X2 photon; markers come while shelved
+    injecting, edges = drive.duration, 0.0
+    if drive.mode == qd.MODE_PULSED:
+        periods = drive.duration / drive.period
+        injecting = periods * drive.pulse_width * 1e-3
+        edges = periods * len(qd._phase_schedule(drive))
+    events = model.capture_rate * injecting + model.marker_rate * drive.duration + edges
+    _check_work(events, "drive.duration", drive.duration)
     sample = partial(qd.simulate, model, drive)
     if drive.mode == qd.MODE_PULSED:
         return sample, drive.repetition_rate, drive
@@ -128,6 +152,8 @@ def _qd_source(config):
 
 def _poisson_dc_source(config):
     p = config["poisson"]
+    # the float first: a string or list rate raises TypeError instead of repeating
+    _check_work(1.0 * p["rate_per_ns"] * p["duration"], "poisson.duration", p["duration"])
     return partial(qd.poisson_photon_record, p["rate_per_ns"], p["duration"]), None, None
 
 
@@ -135,14 +161,16 @@ def _poisson_pulsed_source(config):
     p = config["poisson"]
     jitter = {"jitter_ns": p["jitter_ns"]} if "jitter_ns" in p else {}
     args = (p["repetition_rate"], p["mean_photons_per_pulse"], p["duration"])
+    pulses = args[0] * 1e-3 * args[2]  # one Poisson draw per pulse, then its photons
+    _check_work(pulses * (1.0 + args[1]), "poisson.duration", args[2])
     return partial(qd.pulsed_poisson_record, *args, **jitter), args[0], None
 
 
 # Each photon source's builder and the config keys it reads beside the
-# detection keys.  A builder checks the source without sampling it and returns
-# ``(sample, repetition_rate, pulsed_drive)``: ``sample(seed)`` draws the
-# ``EmissionRecord``, the rate (MHz) is None for a DC source, and the drive is
-# a qd source's pulsed ``DriveProgram``, else None.
+# detection keys.  A builder checks the source and its work cap without
+# sampling it and returns ``(sample, repetition_rate, pulsed_drive)``:
+# ``sample(seed)`` draws the ``EmissionRecord``, the rate (MHz) is None for a
+# DC source, and the drive is a qd source's pulsed ``DriveProgram``, else None.
 _SOURCES = {
     "qd": (_qd_source, {"model": qd.QDModel, "drive": qd.DriveProgram}),
     "poisson_dc": (_poisson_dc_source, {"poisson": _leaves(("rate_per_ns", "duration"))}),
@@ -152,11 +180,19 @@ _SOURCES = {
 
 
 def _source_keys(config):
-    """The keys of the photon source a config names, with the detection keys."""
+    """The keys of the photon source a config names, with the detection keys.
+
+    A ``qd`` source's drive keys depend on its mode, as the source keys depend
+    on the source: a DC drive reads only ``_DC_DRIVE_KEYS``.
+    """
     source = config.get("source", "qd")
     if source not in _SOURCES:
         raise InvalidInput(f"unknown source {source!r}; known sources: {', '.join(_SOURCES)}")
-    return {**_DETECTION_KEYS, **_SOURCES[source][1]}
+    keys = {**_DETECTION_KEYS, **_SOURCES[source][1]}
+    drive = config.get("drive")
+    if source == "qd" and isinstance(drive, dict) and drive.get("mode") == qd.MODE_DC:
+        keys["drive"] = _DC_DRIVE_KEYS
+    return keys
 
 
 def _source_from_config(config):

@@ -185,15 +185,6 @@ class AngularPowerSpectrum:
         if self.theta_grid.shape != self.power_density.shape:
             raise InvalidInput("theta_grid and power_density must have equal length")
 
-    def cone_power(self, theta_max_deg):
-        """Radiated power in [0, theta_max_deg], from the piecewise-constant bins."""
-        edges = _bin_edges_rad(self.theta_grid)
-        tmax = np.radians(theta_max_deg)
-        lo = edges[:-1]
-        hi = edges[1:]
-        overlap = np.clip(np.minimum(hi, tmax) - lo, 0.0, None)
-        return float(np.sum(self.power_density * overlap))
-
     def radiated_power(self):
         edges = _bin_edges_rad(self.theta_grid)
         folded = self.guided_power if self.guided_in_pattern else 0.0
@@ -367,13 +358,6 @@ def emission_pattern(
     return AngularPowerSpectrum(
         theta_grid, density, guided, total, guided_in_pattern=include_guided_spike
     )
-
-
-def collection_efficiency(spectrum: AngularPowerSpectrum, numerical_aperture):
-    """Fraction of total power radiated into the top-side collection cone."""
-    na = _check_numerical_aperture(numerical_aperture)
-    theta_c = np.degrees(np.arcsin(na))
-    return spectrum.cone_power(theta_c) / spectrum.total_power
 
 
 def direct_collection_efficiency(

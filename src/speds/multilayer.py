@@ -13,7 +13,7 @@ Conventions (enforced by the half-wave / quarter-wave identity tests):
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.lib.scimath import sqrt as csqrt
@@ -75,31 +75,6 @@ class LayerStack:
         object.__setattr__(self, "exit_index", _check_index(self.exit_index))
         object.__setattr__(self, "layers", tuple(self.layers))
 
-    def reversed(self):
-        """The same physical stack probed from the exit side."""
-        return LayerStack(self.exit_index, tuple(reversed(self.layers)), self.entry_index)
-
-
-@dataclass(frozen=True)
-class PlaneWaveQuery:
-    vacuum_wavelength: float  # nm
-    in_plane_wavevector: float = 0.0  # rad/nm; may exceed the entry light line
-    polarization: str = TE
-
-    def __post_init__(self):
-        if not np.isfinite(self.vacuum_wavelength) or self.vacuum_wavelength <= 0:
-            raise InvalidInput(f"wavelength must be > 0, got {self.vacuum_wavelength}")
-        if not np.isfinite(self.in_plane_wavevector) or self.in_plane_wavevector < 0:
-            raise InvalidInput(
-                f"in-plane wavevector must be >= 0, got {self.in_plane_wavevector}"
-            )
-        if self.polarization not in (TE, TM):
-            raise InvalidInput(f"polarization must be TE or TM, got {self.polarization!r}")
-
-    @property
-    def k0(self):
-        return 2.0 * np.pi / self.vacuum_wavelength
-
 
 def kz_normal(n, k0, kpar):
     """Layer-normal wavevector on the physical branch (vectorized over kpar)."""
@@ -123,17 +98,6 @@ def _interface_rt(n1, n2, kz1, kz2, polarization):
     return r, t
 
 
-def fresnel_interface(n1, n2, query: PlaneWaveQuery):
-    """Amplitude r, t of the bare n1 -> n2 interface for the given query."""
-    n1 = _check_index(n1)
-    n2 = _check_index(n2)
-    k0 = query.k0
-    kz1 = kz_normal(n1, k0, query.in_plane_wavevector)
-    kz2 = kz_normal(n2, k0, query.in_plane_wavevector)
-    r, t = _interface_rt(n1, n2, kz1, kz2, query.polarization)
-    return complex(r), complex(t)
-
-
 def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts):
     """(r, t) of the stack's first ``c`` layers closed by its exit medium, one
     pair per ``c`` in the ascending ``cuts``, from one pass over the layers.
@@ -141,6 +105,10 @@ def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts)
     The leading c layers of a stack are the same whatever follows them, so the
     running product up to layer c is shared by every cut at or after it.
     """
+    if not 0.0 < vacuum_wavelength < np.inf:
+        raise InvalidInput(f"wavelength must be finite and > 0, got {vacuum_wavelength}")
+    if polarization not in (TE, TM):
+        raise InvalidInput(f"polarization must be TE or TM, got {polarization!r}")
     kpar = np.asarray(kpar, dtype=complex)
     k0 = 2.0 * np.pi / vacuum_wavelength
     indices = [stack.entry_index]
@@ -212,32 +180,26 @@ def bragg_prefix_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im
     return np.stack(r), np.stack(t)
 
 
-def stack_response(stack: LayerStack, query: PlaneWaveQuery):
-    """Total amplitude (r, t) through the full stack for a single query."""
-    r, t = stack_rt(
-        stack, query.vacuum_wavelength, query.in_plane_wavevector, query.polarization
-    )
-    return complex(r), complex(t)
+def power_reflectance(stack: LayerStack, vacuum_wavelength, kpar, polarization):
+    """|r|^2 of ``stack_rt``, vectorized over kpar."""
+    r, _ = stack_rt(stack, vacuum_wavelength, kpar, polarization)
+    return np.abs(r) ** 2
 
 
-def power_reflectance(stack: LayerStack, query: PlaneWaveQuery):
-    r, _ = stack_response(stack, query)
-    return abs(r) ** 2
-
-
-def power_transmittance(stack: LayerStack, query: PlaneWaveQuery):
-    """Energy transmittance including the admittance weight (both polarizations)."""
-    _, t = stack_response(stack, query)
-    k0 = query.k0
-    kz_in = kz_normal(stack.entry_index, k0, query.in_plane_wavevector)
-    kz_out = kz_normal(stack.exit_index, k0, query.in_plane_wavevector)
-    if query.polarization == TE:
+def power_transmittance(stack: LayerStack, vacuum_wavelength, kpar, polarization):
+    """Energy transmittance including the admittance weight (both polarizations),
+    vectorized over kpar."""
+    _, t = stack_rt(stack, vacuum_wavelength, kpar, polarization)
+    k0 = 2.0 * np.pi / vacuum_wavelength
+    kz_in = kz_normal(stack.entry_index, k0, kpar)
+    kz_out = kz_normal(stack.exit_index, k0, kpar)
+    if polarization == TE:
         weight = np.real(kz_out) / np.real(kz_in)
     else:
         weight = np.real(kz_out * np.conj(stack.exit_index) / stack.exit_index) / np.real(
             kz_in * np.conj(stack.entry_index) / stack.entry_index
         )
-    return float(abs(t) ** 2 * weight)
+    return np.abs(t) ** 2 * weight
 
 
 def build_bragg(

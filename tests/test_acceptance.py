@@ -21,7 +21,6 @@ from speds.designer import (
 )
 from speds.dipole import (
     analytic_no_cavity_efficiency,
-    collection_efficiency,
     direct_collection_efficiency,
     emission_pattern,
 )
@@ -40,7 +39,6 @@ from speds.multilayer import (
     TE,
     TM,
     LayerStack,
-    PlaneWaveQuery,
     build_bragg,
     power_reflectance,
     power_transmittance,
@@ -187,7 +185,9 @@ def normal_suppression_closed_form(periods):
 def test_criterion_3_cavity_pattern(verdict, no_cavity_pattern, cavity_pattern):
     # No mirror of 11-25 periods reaches 10x in this geometry, so the
     # suppression is tied to independent references (docs/DECISIONS.md).
-    eta = collection_efficiency(cavity_pattern, 0.5)
+    eta = direct_collection_efficiency(
+        geometry_for(fig5_design(12)), 0.5, cavity_pattern.total_power
+    )
     suppression = downward_power(no_cavity_pattern) / downward_power(cavity_pattern)
     expected = oracle_downward_suppression(12)
     ratio_180 = no_cavity_pattern.power_density[-1] / cavity_pattern.power_density[-1]
@@ -328,12 +328,13 @@ def test_criterion_10_determinism_and_conservation(verdict, tmp_path):
     stack = build_bragg(N_GAAS, N_ALAS, LAM, 6, entry_index=N_GAAS, exit_index=1.0)
     k0 = 2 * np.pi / LAM
     critical = np.degrees(np.arcsin(1.0 / N_GAAS))
+    kpar = N_GAAS * k0 * np.sin(np.radians(np.linspace(0.0, 0.98 * critical, 50)))
     worst = 0.0
     for pol in (TE, TM):
-        for angle in np.linspace(0.0, 0.98 * critical, 50):
-            q = PlaneWaveQuery(LAM, N_GAAS * k0 * np.sin(np.radians(angle)), pol)
-            total = power_reflectance(stack, q) + power_transmittance(stack, q)
-            worst = max(worst, abs(total - 1.0))
+        total = power_reflectance(stack, LAM, kpar, pol) + power_transmittance(
+            stack, LAM, kpar, pol
+        )
+        worst = max(worst, float(np.max(np.abs(total - 1.0))))
     conserved = worst < 1e-10
 
     half = LayerStack(1.0, (), 1.0)

@@ -101,6 +101,8 @@ class TestExitCodes:
     )
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, block, key, value):
         config = small_hbt_config()
+        if key == "repetition_rate":  # a pulse key, which only a pulsed drive reads
+            config["drive"] = dict(config["drive"], mode="pulsed")
         config[block] = dict(config[block], **{key: value})
         path = write_config(tmp_path, config)  # json writes Infinity and NaN
         rc = cli.main(["hbt", "--config", path, "--out", str(tmp_path)])
@@ -147,23 +149,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "override,key",
+        "preset,override,key",
         [
-            ({"sede": 3}, "sede"),
-            ({"analysis": {"repetiton_rate": 80, "m_far": 10}}, "analysis.repetiton_rate"),
-            ({"correlation": {"bin_widht": 0.5}}, "correlation.bin_widht"),
-            ({"poisson": {"jiter_ns": 0.1}}, "poisson.jiter_ns"),
-            ({"analysis": {"repetition_rate": 80.0}}, "analysis.repetition_rate"),
-            ({"model": {"tau_x": 5.0}, "drive": {"duration": 10.0}}, "model"),
-            ({"source": "poisson_dc"}, "poisson.mean_photons_per_pulse"),
+            ("laser_80mhz", {"sede": 3}, "sede"),
+            ("laser_80mhz", {"analysis": {"repetiton_rate": 80, "m_far": 10}},
+             "analysis.repetiton_rate"),
+            ("laser_80mhz", {"correlation": {"bin_widht": 0.5}}, "correlation.bin_widht"),
+            ("laser_80mhz", {"poisson": {"jiter_ns": 0.1}}, "poisson.jiter_ns"),
+            ("laser_80mhz", {"analysis": {"repetition_rate": 80.0}}, "analysis.repetition_rate"),
+            ("laser_80mhz", {"model": {"tau_x": 5.0}, "drive": {"duration": 10.0}}, "model"),
+            ("laser_80mhz", {"source": "poisson_dc"}, "poisson.mean_photons_per_pulse"),
+            ("dc_eq1", {"drive": {"repetition_rate": -5.0, "pulse_width": 1e9}},
+             "drive.repetition_rate"),
         ],
         ids=["top-level", "analysis", "correlation", "poisson", "analysis-repetition-rate",
-             "qd-keys-on-poisson-source", "pulsed-keys-on-dc-source"],
+             "qd-keys-on-poisson-source", "pulsed-keys-on-dc-source", "pulse-keys-on-dc"],
     )
-    def test_unknown_config_key_exits_2_before_any_work(self, tmp_path, capsys, override, key):
+    def test_unknown_config_key_exits_2_before_any_work(
+        self, tmp_path, capsys, preset, override, key
+    ):
         path = write_config(tmp_path, override)
         out = tmp_path / "out"
-        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path, "--out", str(out)])
+        rc = cli.main(["hbt", "--preset", preset, "--config", path, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: unknown config key {key}\n"
         assert not out.exists()
@@ -217,6 +224,28 @@ class TestExitCodes:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset,config,key",
+        [
+            ("dc_eq1", {"drive": {"duration": 1e15}}, "drive.duration"),
+            ("ghz_ideal", {"model": {"capture_rate": 0.0}, "drive": {"duration": 1e15}},
+             "drive.duration"),
+            ("laser_80mhz", {"poisson": {"duration": 1e300}}, "poisson.duration"),
+            (None, poisson_dc_config(duration=1e15), "poisson.duration"),
+        ],
+        ids=["dc-duration", "zero-capture-pulsed-duration", "pulsed-poisson-duration",
+             "dc-poisson-duration"],
+    )
+    def test_source_work_over_the_cap_exits_2_before_sampling(
+        self, tmp_path, capsys, no_sampling, preset, config, key
+    ):
+        path = write_config(tmp_path, config)
+        on_preset = ["--preset", preset] if preset else []
+        rc = cli.main(["hbt", *on_preset, "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "more than the cap" in err
 
     @pytest.mark.parametrize(
         "preset,override,key",

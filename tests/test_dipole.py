@@ -13,7 +13,6 @@ from speds.dipole import (
     _CavityFields,
     adaptive_integral,
     analytic_no_cavity_efficiency,
-    collection_efficiency,
     direct_collection_efficiency,
     emission_pattern,
 )
@@ -86,10 +85,11 @@ class TestHomogeneous:
         assert np.allclose(d[interior], expected[interior], rtol=1e-3)
 
     def test_cone_power_matches_closed_form(self):
-        spec = emission_pattern(homogeneous_geometry(), angular_resolution=0.25)
+        # NA 0.5 in vacuum is the 30-degree cone; the total power is 1
         c = np.cos(np.radians(30.0))
         expected = 0.5 - 0.375 * c - 0.125 * c**3
-        assert spec.cone_power(30.0) == pytest.approx(expected, rel=1e-3)
+        eta = direct_collection_efficiency(homogeneous_geometry(), 0.5)
+        assert eta == pytest.approx(expected, rel=1e-3)
 
 
 class TestBareSurface:
@@ -117,7 +117,10 @@ class TestBareSurface:
     def test_collection_efficiency_routes_match(self):
         geom = bare_surface_geometry()
         spec = emission_pattern(geom, angular_resolution=0.25)
-        eta_pattern = collection_efficiency(spec, 0.5)
+        # the cone's share of each bin, from the piecewise-constant density
+        edges = _bin_edges_rad(spec.theta_grid)
+        overlap = np.clip(np.minimum(edges[1:], np.arcsin(0.5)) - edges[:-1], 0.0, None)
+        eta_pattern = np.sum(spec.power_density * overlap) / spec.total_power
         eta_direct = direct_collection_efficiency(geom, 0.5)
         assert eta_pattern == pytest.approx(eta_direct, rel=0.02)
 

@@ -203,6 +203,12 @@ class TestCorrelate:
         chunked = correlate(a, b, window=10.0, bin_width=0.1, duration=1e3).counts
         assert np.array_equal(whole, chunked)
 
+    def test_pairs_over_the_cap_rejected_before_counting(self):
+        # 1e5 clicks on each arm within one window: 1e10 pairs
+        clicks = np.linspace(0.0, 1.0, 100_000)
+        with pytest.raises(InvalidInput, match="window 10 ns holds 1e[+]10 click pairs"):
+            correlate(clicks, clicks, window=10.0, bin_width=0.1, duration=1e3)
+
     def test_histogram_keeps_the_width_of_its_bins(self):
         # 2 * 10 / 0.15 = 133.3: 133 bins, each 0.25 % wider than asked for
         a = np.sort(np.random.default_rng(37).uniform(0, 1e3, 500))

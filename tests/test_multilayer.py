@@ -11,47 +11,45 @@ from speds.multilayer import (
     TM,
     Layer,
     LayerStack,
-    PlaneWaveQuery,
     bragg_prefix_rt,
     build_bragg,
-    fresnel_interface,
     kz_normal,
     power_reflectance,
     power_transmittance,
-    stack_response,
     stack_rt,
 )
 
 LAM = DESIGN_WAVELENGTH_NM
 
 
-def query(kpar=0.0, pol=TE, lam=LAM):
-    return PlaneWaveQuery(lam, kpar, pol)
+def interface_rt(n1, n2, kpar=0.0, pol=TE):
+    """(r, t) of the bare n1 -> n2 interface: a stack with no layers."""
+    return stack_rt(LayerStack(n1, (), n2), LAM, kpar, pol)
 
 
 class TestFresnel:
     def test_normal_incidence_te(self):
-        r, t = fresnel_interface(1.0, 1.5, query())
+        r, t = interface_rt(1.0, 1.5)
         assert r == pytest.approx((1.0 - 1.5) / (1.0 + 1.5))
         assert t == pytest.approx(2.0 / 2.5)
 
     def test_tm_sign_convention_at_normal_incidence(self):
-        r_te, _ = fresnel_interface(3.5, 1.0, query(pol=TE))
-        r_tm, _ = fresnel_interface(3.5, 1.0, query(pol=TM))
+        r_te, _ = interface_rt(3.5, 1.0, pol=TE)
+        r_tm, _ = interface_rt(3.5, 1.0, pol=TM)
         assert r_tm == pytest.approx(-r_te)
 
     def test_brewster_angle_tm_zero(self):
         n1, n2 = 1.0, 1.5
         theta_b = np.arctan(n2 / n1)
         kpar = n1 * (2 * np.pi / LAM) * np.sin(theta_b)
-        r, _ = fresnel_interface(n1, n2, query(kpar, TM))
+        r, _ = interface_rt(n1, n2, kpar, TM)
         assert abs(r) < 1e-12
 
     def test_total_internal_reflection(self):
         k0 = 2 * np.pi / LAM
         kpar = 3.5 * k0 * np.sin(np.radians(30.0))  # past the 16.6 deg critical angle
         for pol in (TE, TM):
-            r, _ = fresnel_interface(3.5, 1.0, query(kpar, pol))
+            r, _ = interface_rt(3.5, 1.0, kpar, pol)
             assert abs(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_kz_branch(self):
@@ -62,26 +60,18 @@ class TestFresnel:
 
 
 class TestStack:
-    def test_empty_stack_equals_fresnel(self):
-        stack = LayerStack(1.0, (), 3.5)
-        q = query(0.3 * 2 * np.pi / LAM, TM)
-        r_direct, t_direct = fresnel_interface(1.0, 3.5, q)
-        r, t = stack_response(stack, q)
-        assert r == pytest.approx(r_direct)
-        assert t == pytest.approx(t_direct)
-
     def test_half_wave_layer_is_invisible(self):
         stack = LayerStack(1.0, (Layer(LAM / (2 * 2.0), 2.0),), 3.5)
         bare = LayerStack(1.0, (), 3.5)
         for pol in (TE, TM):
-            assert power_reflectance(stack, query(pol=pol)) == pytest.approx(
-                power_reflectance(bare, query(pol=pol)), abs=1e-12
+            assert power_reflectance(stack, LAM, 0.0, pol) == pytest.approx(
+                power_reflectance(bare, LAM, 0.0, pol), abs=1e-12
             )
 
     def test_quarter_wave_layer_closed_form(self):
         n1, n2, n3 = 1.0, 2.0, 3.5
         stack = LayerStack(n1, (Layer(LAM / (4 * n2), n2),), n3)
-        r, _ = stack_response(stack, query())
+        r, _ = stack_rt(stack, LAM, 0.0, TE)
         expected = (n1 * n3 - n2**2) / (n1 * n3 + n2**2)
         assert abs(r) == pytest.approx(abs(expected), rel=1e-12)
 
@@ -91,8 +81,9 @@ class TestStack:
         k0 = 2 * np.pi / LAM
         for angle in (0.0, 10.0, 16.0):  # inside the escape cone of the exit side
             kpar = N_GAAS * k0 * np.sin(np.radians(angle))
-            q = query(kpar, pol)
-            total = power_reflectance(stack, q) + power_transmittance(stack, q)
+            total = power_reflectance(stack, LAM, kpar, pol) + power_transmittance(
+                stack, LAM, kpar, pol
+            )
             assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("pol", [TE, TM])
@@ -104,9 +95,9 @@ class TestStack:
 
     def test_reversed_stack_reflectance_matches(self):
         stack = build_bragg(N_GAAS, N_ALAS, LAM, 4, entry_index=1.0, exit_index=N_GAAS)
-        q = query()
-        assert power_reflectance(stack, q) == pytest.approx(
-            power_reflectance(stack.reversed(), q), rel=1e-12
+        flipped = LayerStack(stack.exit_index, stack.layers[::-1], stack.entry_index)
+        assert power_reflectance(stack, LAM, 0.0, TE) == pytest.approx(
+            power_reflectance(flipped, LAM, 0.0, TE), rel=1e-12
         )
 
 
@@ -117,13 +108,15 @@ class TestBragg:
             N_GAAS, N_ALAS, LAM, periods, entry_index=N_GAAS, exit_index=N_GAAS
         )
         expected = dbr_reflectance(N_GAAS, N_GAAS, N_ALAS, N_GAAS, periods)
-        assert power_reflectance(stack, query()) == pytest.approx(expected, abs=1e-12)
+        assert power_reflectance(stack, LAM, 0.0, TE) == pytest.approx(expected, abs=1e-12)
 
     def test_reflectance_nondecreasing_with_periods(self):
         rs = [
             power_reflectance(
                 build_bragg(N_GAAS, N_ALAS, LAM, n, entry_index=N_GAAS, exit_index=N_GAAS),
-                query(),
+                LAM,
+                0.0,
+                TE,
             )
             for n in range(13)
         ]
@@ -132,7 +125,7 @@ class TestBragg:
     def test_twelve_periods_highly_reflective(self):
         # index contrast 2.95/3.5 into a GaAs substrate: closed form gives 0.935
         stack = build_bragg(N_GAAS, N_ALAS, LAM, 12, entry_index=N_GAAS, exit_index=N_GAAS)
-        assert power_reflectance(stack, query()) > 0.9
+        assert power_reflectance(stack, LAM, 0.0, TE) > 0.9
 
     def test_layer_thicknesses_are_quarter_wave(self):
         stack = build_bragg(N_GAAS, N_ALAS, LAM, 1)
@@ -191,12 +184,18 @@ class TestValidation:
             LayerStack(-1.0, (), 1.0)
 
     def test_bad_polarization_rejected(self):
-        with pytest.raises(InvalidInput):
-            PlaneWaveQuery(LAM, 0.0, "TEM")
+        stack = build_bragg(N_GAAS, N_ALAS, LAM, 1)
+        for rt in (stack_rt, bragg_prefix_rt):
+            for pol in ("te", "TEM"):
+                with pytest.raises(InvalidInput, match="polarization"):
+                    rt(stack, LAM, 0.0, pol, 0.0)
 
-    def test_negative_kpar_rejected(self):
-        with pytest.raises(InvalidInput):
-            PlaneWaveQuery(LAM, -0.1)
+    @pytest.mark.parametrize("wavelength", [0.0, np.nan, np.inf, -LAM])
+    def test_bad_wavelength_rejected(self, wavelength):
+        stack = build_bragg(N_GAAS, N_ALAS, LAM, 1)
+        for rt in (stack_rt, bragg_prefix_rt):
+            with pytest.raises(InvalidInput, match="wavelength"):
+                rt(stack, wavelength, 0.0, TE, 0.0)
 
     def test_fractional_periods_rejected(self):
         with pytest.raises(InvalidInput):
