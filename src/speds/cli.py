@@ -48,9 +48,10 @@ _SWEEP_STUDIES = {
 # A DC drive has no pulses and no sweep-out between them.
 _DC_DRIVE_KEYS = _leaves(("mode", "duration"))
 # Expected events a photon source may draw: photons, plus the pulses of a
-# pulsed Poisson source or the segment edges of a pulsed qd drive.  The
-# largest preset, fig10_full_reset, asks for about 9e6 (3e6 captures, 6e6
-# edges); far above it a run would exhaust memory or time.
+# pulsed Poisson source, or the periods x phase segments of a pulsed qd
+# drive, which bound the segment passes of its pools' lane work.  The largest
+# preset, fig10_full_reset, asks for about 9e6 (3e6 captures, 6e6 segment
+# passes); far above it a run would exhaust memory or time.
 _MAX_SOURCE_EVENTS = 1e8
 
 
@@ -129,7 +130,7 @@ def _check_work(events, key, value):
     if events > _MAX_SOURCE_EVENTS:
         raise InvalidInput(
             f"{key} {value:g} asks for about {events:.2g} source events (photons, "
-            f"pulses, drive edges), more than the cap of {_MAX_SOURCE_EVENTS:.0e}"
+            f"pulses, segment passes), more than the cap of {_MAX_SOURCE_EVENTS:.0e}"
         )
 
 
@@ -137,12 +138,12 @@ def _qd_source(config):
     model = qd.QDModel(**config.get("model", {}))
     drive = qd.DriveProgram(**config.get("drive", {}))
     # a capture precedes every X and X2 photon; markers come while shelved
-    injecting, edges = drive.duration, 0.0
+    injecting, passes = drive.duration, 0.0
     if drive.mode == qd.MODE_PULSED:
         periods = drive.duration / drive.period
         injecting = periods * drive.pulse_width * 1e-3
-        edges = periods * len(qd._phase_schedule(drive))
-    events = model.capture_rate * injecting + model.marker_rate * drive.duration + edges
+        passes = periods * len(qd._phase_schedule(drive))
+    events = model.capture_rate * injecting + model.marker_rate * drive.duration + passes
     _check_work(events, "drive.duration", drive.duration)
     sample = partial(qd.simulate, model, drive)
     if drive.mode == qd.MODE_PULSED:
@@ -231,12 +232,13 @@ def _correlated(config, seed, sample, lines):
     """
     det_cfg = dict(config.get("detectors", {}))
     ratio = _noise_ratio(config, det_cfg.get("dark_rate"))
+    corr_cfg = config["correlation"]
+    hbt._correlation_bin_count(corr_cfg["window"], corr_cfg["bin_width"])
     record = sample(seed)
     signal_per_ns = record.times(config.get("line_filter")).size / record.duration
     if ratio is not None:
         det_cfg["dark_rate"] = ratio * signal_per_ns * 1e9
     detectors = hbt.DetectorPair(**det_cfg)
-    corr_cfg = config["correlation"]
     hist = hbt.cross_correlate_lines(
         record, *lines, detectors, seed + 1, corr_cfg["window"], corr_cfg["bin_width"]
     )

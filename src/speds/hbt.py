@@ -27,6 +27,10 @@ _PAIR_CHUNK = 1 << 20  # pairs histogrammed per call in correlate; bounds its me
 # Pairs one correlate call may histogram: about 30 s at the 3e7 pairs/s
 # measured on one Xeon core.  The presets pair at most 8e5.
 _MAX_PAIRS = 10**9
+# Bins of one correlation histogram, 2 * window / bin_width: its edges,
+# counts and centres are each an array of about this length.  The presets
+# use at most 800.
+_MAX_CORRELATION_BINS = 10**6
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,22 @@ class CorrelationHistogram:
         np.savetxt(path, table, fmt="%.6f,%d,%.8e", header=header, comments="")
 
 
+def _correlation_bin_count(window, bin_width):
+    """Bins of a +-``window`` histogram at ``bin_width``, checked against the
+    contract bin_width <= window / 50 and against ``_MAX_CORRELATION_BINS``."""
+    if not (0.0 < window < np.inf and 0.0 < bin_width <= window / 50.0):
+        raise InvalidInput(
+            f"need finite 0 < bin_width <= window/50, got window={window}, bin={bin_width}"
+        )
+    n_bins = np.round(2 * window / bin_width)
+    if n_bins > _MAX_CORRELATION_BINS:
+        raise InvalidInput(
+            f"correlation.bin_width {bin_width:g} ns over a window of +-{window:g} ns gives "
+            f"{n_bins:.3g} bins, more than the cap of {_MAX_CORRELATION_BINS:.0e}"
+        )
+    return int(n_bins)
+
+
 def correlate(
     clicks_a,
     clicks_b,
@@ -135,19 +155,16 @@ def correlate(
     """Histogram of all pairwise delays t_b - t_a within +-window (ns).
 
     Full correlation (every pair counted), not start-stop, so side peaks at
-    high repetition rates are unbiased.  Requires bin_width <= window / 50;
-    the histogram keeps the width of its whole number of bins.  More than
-    ``_MAX_PAIRS`` pairs within the window are rejected before any is counted.
+    high repetition rates are unbiased.  Requires bin_width <= window / 50
+    and at most ``_MAX_CORRELATION_BINS`` bins; the histogram keeps the width
+    of its whole number of bins.  More than ``_MAX_PAIRS`` pairs within the
+    window are rejected before any is counted.
     """
-    if not (0.0 < window < np.inf and 0.0 < bin_width <= window / 50.0):
-        raise InvalidInput(
-            f"need finite 0 < bin_width <= window/50, got window={window}, bin={bin_width}"
-        )
+    n_bins = _correlation_bin_count(window, bin_width)
     if duration <= 0:
         raise InvalidInput(f"duration must be > 0, got {duration}")
     a = np.asarray(clicks_a, dtype=float)
     b = np.asarray(clicks_b, dtype=float)
-    n_bins = int(np.round(2 * window / bin_width))
     edges = np.linspace(-window, window, n_bins + 1)
     counts = np.zeros(n_bins)
     # For each start, the relevant stops lie in [t_a - window, t_a + window].

@@ -9,18 +9,21 @@ Kinetic Monte Carlo over the states {empty, X, X2, shelved}:
   non-emitting) with probability ``shelve_probability`` and recovers at
   ``unshelve_rate``;
 * during sweep-out windows between pulses, excitonic occupation is removed
-  without emission at ``sweep_rate``; the ``full_reset`` regime additionally
-  clears the shelved state, erasing all memory between pulses.
+  without emission at ``sweep_rate``.  The ``full_reset`` regime never
+  shelves the dot, during the pulse or after it (``_rate_table`` sets the
+  shelving probability to 0 for the whole period), so its
+  ``shelve_probability`` and ``unshelve_rate`` change no output; see
+  docs/DECISIONS.md.
 
 Under DC drive every X decay renews the dot, so the record is built from
-independent emission cycles drawn as arrays.  Under pulsed drive the rates
-are piecewise constant across pulse edges and an event loop re-draws the
-waiting time at every edge, which is exact for exponential clocks.
+independent emission cycles drawn as arrays.  Under pulsed drive a path
+through one period depends only on the state at its start, so each start
+state keeps a pool of i.i.d. one-period paths, drawn as arrays by
+Gillespie's method one phase segment at a time, and the k-th period that
+starts in a state takes the next unused path of that state's pool.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,10 +43,11 @@ SWEEP_FULL = "full_reset"
 
 _EMPTY, _X, _X2, _SHELVED = 0, 1, 2, 3
 
-_BLOCK = 1 << 16  # random variates drawn per numpy call in the pulsed event loop
 _CYCLES = 1 << 14  # renewal cycles, and at most as many markers, per DC batch
 _DECAY_BIN_PS = 50.0  # default decay-profile bin width
 _MAX_DECAY_BINS = 10**6  # decay-profile bins per drive period
+_LANES = 1 << 16  # one-period paths, at most, drawn together into a pulsed pool
+_FIRST_LANES = 1 << 10  # fewest paths drawn into a pulsed pool at once, as at first
 
 
 def _require_finite(obj):
@@ -176,9 +180,9 @@ def _rate_table(model: QDModel, drive: DriveProgram):
 
     Each branch is one transition out of the state.  ``thresholds`` are the
     cumulative branch probabilities without the final 1, so a uniform draw u
-    takes branch ``bisect_right(thresholds, u)``; ``lines`` holds the code of
-    the photon each branch emits, or -1.  Shelving after an X decay is a
-    branch of its own, so it needs no second draw.
+    takes the branch whose index is the number of thresholds <= u; ``lines``
+    holds the code of the photon each branch emits, or -1.  Shelving after an
+    X decay is a branch of its own, so it needs no second draw.
     """
     full = drive.sweep_out_regime == SWEEP_FULL
     shelve = 0.0 if full else model.shelve_probability
@@ -204,11 +208,6 @@ def _rate_table(model: QDModel, drive: DriveProgram):
     return table
 
 
-def _variates(draw):
-    """Endless iterator over the values of ``draw(_BLOCK)``, block by block."""
-    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_BLOCK))))
-
-
 def _branch_probability(entry, next_state):
     """Probability that the transition out of a rate-table entry goes to ``next_state``."""
     total, thresholds, states, _ = entry
@@ -222,14 +221,14 @@ def simulate(model: QDModel, drive: DriveProgram, seed: int) -> EmissionRecord:
     """Generate a timestamped photon-emission record; deterministic per seed.
 
     A DC drive is sampled as renewal cycles (``_dc_record``), a pulsed drive
-    by Gillespie's direct method over the rate table of each phase segment
-    (``_pulsed_record``).
+    as a walk over pools of one-period paths, one pool per start state
+    (``_pooled_record``).
     """
     rng = np.random.default_rng(seed)
     table = _rate_table(model, drive)
     if drive.mode == MODE_DC:
         return _dc_record(table[0], drive.duration, rng)
-    return _pulsed_record(table, drive, rng)
+    return _pooled_record(table, drive, rng)
 
 
 def _dc_record(row, duration, rng):
@@ -303,38 +302,148 @@ def _dc_record(row, duration, rng):
     return EmissionRecord(times[:keep], codes[:keep], duration)
 
 
-def _pulsed_record(table, drive, rng):
-    """Pulsed photon record by Gillespie's direct method, one segment at a time."""
-    next_exp = _variates(rng.standard_exponential).__next__
-    next_uniform = _variates(rng.random).__next__
-    duration, period = drive.duration, drive.period
-    ends = [start for start, _, _ in _phase_schedule(drive)][1:] + [period]
-    times, codes = [], []
-    state, t = _EMPTY, 0.0
-    # Explicit (period, segment) cursor: deriving the segment from float t is
-    # unsafe at boundaries, where rounding can stall the clock.
-    n_per, i_seg = 0, 0
-    seg_end = min(ends[0], duration)
-    while t < duration:
-        total, thresholds, next_states, lines = table[i_seg][state]
-        if total > 0.0:
-            t_next = t + next_exp() / total
-            if t_next < seg_end:
-                t = t_next
-                k = bisect_right(thresholds, next_uniform()) if thresholds else 0
-                if lines[k] >= 0:
-                    times.append(t)
-                    codes.append(lines[k])
-                state = next_states[k]
-                continue
-        # No transition before the segment edge: the rates change there, so
-        # the waiting time is redrawn (exact for exponential clocks).
-        t = seg_end
-        i_seg += 1
-        if i_seg == len(ends):
-            i_seg, n_per = 0, n_per + 1
-        seg_end = min(n_per * period + ends[i_seg], duration)
-    return EmissionRecord(times, codes, duration)
+def _segments(table, drive):
+    """The rate table as arrays: per phase segment (start, end, mean dwell,
+    bounds, next states, lines).
+
+    The mean dwell is indexed by state; a state with total rate 0 dwells
+    forever (``inf``).  ``bounds`` holds, state after state, each state's
+    index s and s + each of its thresholds, without the leading 0, so a lane
+    in state s with a uniform draw u takes the branch at
+    ``searchsorted(bounds, s + u, "right")`` of the next states and lines,
+    which list every state's branches in order.
+    """
+    starts = [start for start, _, _ in _phase_schedule(drive)]
+    segments = []
+    for start, end, row in zip(starts, starts[1:] + [drive.period], table):
+        dwell = np.array([1.0 / total if total > 0.0 else np.inf for total, *_ in row])
+        bounds = [s + x for s, (_, thresholds, _, _) in enumerate(row) for x in (0, *thresholds)]
+        next_states = np.array([n for _, _, states, _ in row for n in states], dtype=np.int8)
+        lines = np.array([c for *_, codes in row for c in codes], dtype=np.int8)
+        segments.append((start, end, dwell, np.array(bounds[1:]), next_states, lines))
+    return segments
+
+
+def _period_paths(segments, start, lanes, rng):
+    """``lanes`` i.i.d. paths through one period, each starting in ``start``.
+
+    All lanes are stepped together, one pass over the live lanes per
+    Gillespie step, one phase segment at a time.  A lane leaves a segment
+    once its next jump falls past the segment's end, where the rates change
+    and the memoryless wait is redrawn, or once its state has no way out.
+    Returns (end state per lane, photons per lane as uint32, photon times
+    within the period, line codes), the photons grouped by lane in time
+    order.
+    """
+    end = np.full(lanes, start, dtype=np.int8)
+    lane_hits, time_hits, code_hits = [], [], []
+    for seg_start, seg_end, dwell, bounds, next_states, lines in segments:
+        lane, state = np.arange(lanes), end.copy()
+        t = np.full(lanes, seg_start)
+        while lane.size:
+            t += rng.standard_exponential(lane.size) * dwell[state]
+            go = t < seg_end
+            if not go.all():
+                end[lane[~go]] = state[~go]
+                lane, state, t = lane[go], state[go], t[go]
+            branch = np.searchsorted(bounds, state + rng.random(lane.size), side="right")
+            code = lines[branch]
+            emit = code >= 0
+            lane_hits.append(lane[emit])
+            time_hits.append(t[emit])
+            code_hits.append(code[emit])
+            state = next_states[branch]
+    lane = np.concatenate(lane_hits)
+    # each lane's photons came in time order, so a stable sort groups them
+    order = np.argsort(lane, kind="stable")
+    counts = np.bincount(lane, minlength=lanes).astype(np.uint32)
+    return end, counts, np.concatenate(time_hits)[order], np.concatenate(code_hits)[order]
+
+
+def _pooled_record(table, drive, rng):
+    """Pulsed photon record from pools of one-period paths, one pool per start state.
+
+    The k-th period that starts in state s takes the next unused path of s's
+    pool.  The pools are i.i.d. sequences and which path a period takes
+    depends only on earlier paths, so the record is exact (the stack, or
+    random-map, form of a Markov chain).  A pool is drawn when the walk
+    first reaches its state, so only reachable states get one, and grows by
+    at most ``_LANES`` paths at a time, sized from the visit rate seen so
+    far.
+
+    Within s's pool the paths that end outside s close the runs of s: the
+    i-th run of s lasts ``run_len[s][i]`` periods and moves to
+    ``leave_to[s][i]``, so the walk makes one step per state change.  The
+    last run may end inside a pool's tail of self-loops.  Each state's used
+    paths are a prefix of its pool; their periods follow from the runs'
+    first periods.  A photon's time is its period's start plus its time
+    within the period, so one stable sort on the times merges the states'
+    photons into period order.
+    """
+    segments = _segments(table, drive)
+    period, n = drive.period, int(np.ceil(drive.duration / drive.period))
+    n_states = len(table[0])
+    size, last_leave = [0] * n_states, [-1] * n_states
+    run_len, leave_to = [[] for _ in range(n_states)], [[] for _ in range(n_states)]
+    drawn = [[] for _ in range(n_states)]  # (counts, times, codes) per chunk
+
+    def grow(s, lanes):
+        end, counts, times, codes = _period_paths(segments, s, lanes, rng)
+        out = np.flatnonzero(end != s)
+        leaves = out + size[s]  # their places in the pool
+        run_len[s] += np.diff(leaves, prepend=last_leave[s]).tolist()
+        leave_to[s] += end[out].tolist()
+        if leaves.size:
+            last_leave[s] = int(leaves[-1])
+        size[s] += lanes
+        drawn[s].append((counts, times, codes))
+
+    used, path = [0] * n_states, []  # path: the state of each run, in walk order
+    k, s = 0, _EMPTY
+    while k < n:
+        i = used[s]
+        try:
+            step = run_len[s][i]
+        except IndexError:  # every run drawn for s is used
+            loops = size[s] - 1 - last_leave[s]  # self-loops after the last run
+            if loops >= n - k:  # the walk ends inside them, one last run of s
+                run_len[s].append(n - k)
+                used[s] = i + 1
+                path.append(s)
+                break
+            # s's visits still to come at its visit rate so far, with 10 % to spare
+            seen = 1.1 * (n - k) * size[s] / max(k, 1)
+            grow(s, int(min(_LANES, n - k - loops, max(_FIRST_LANES, seen))))
+            continue
+        path.append(s)
+        used[s] = i + 1
+        k += step
+        s = leave_to[s][i]
+
+    path = np.array(path, dtype=np.int8)
+    lens = np.empty(path.size, dtype=np.int64)
+    for state in range(n_states):
+        lens[path == state] = run_len[state][: used[state]]
+    first = np.cumsum(lens) - lens  # each run's first period
+    parts = []
+    for state in range(n_states):
+        runs = path == state
+        place = np.cumsum(lens[runs]) - lens[runs]  # each run's first place in the pool
+        offset = first[runs] - place  # a used path's period minus its place
+        base, stop = 0, int(lens[runs].sum())  # the used paths are the first ``stop``
+        for counts, times, codes in drawn[state]:
+            at = base + np.arange(min(counts.size, stop - base))
+            if not at.size:
+                break
+            path_start = (at + offset[np.searchsorted(place, at, side="right") - 1]) * period
+            m = int(counts[: at.size].sum())
+            parts.append((np.repeat(path_start, counts[: at.size]) + times[:m], codes[:m]))
+            base += counts.size
+    times, codes = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    keep = int(np.searchsorted(times, drive.duration))
+    return EmissionRecord(times[:keep], codes[order[:keep]], drive.duration)
 
 
 def _decay_bin_count(drive: DriveProgram, bin_ps):

@@ -218,6 +218,17 @@ class TestExitCodes:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    def test_too_many_correlation_bins_exit_2_before_sampling(
+        self, tmp_path, capsys, no_sampling
+    ):
+        path = write_config(tmp_path, {"correlation": {"window": 1e9, "bin_width": 1.0}})
+        out = tmp_path / "out"
+        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: correlation.bin_width ") and "more than the cap" in err
+        assert not any(out.iterdir())
+
     def test_too_many_decay_bins_exit_2_before_sampling(self, tmp_path, capsys, no_sampling):
         path = write_config(tmp_path, {"analysis": {"decay_fit": {"bin_ps": 1e-30}}})
         rc = cli.main(["hbt", "--preset", "fig8_jitter", "--config", path,

@@ -221,6 +221,13 @@ class TestCorrelate:
         with pytest.raises(InvalidInput):
             correlate([], [], window=10.0, bin_width=1.0, duration=1e3)
 
+    def test_bin_count_cap(self):
+        # 2e9 bins would be about 15 GiB of edges; the cap is read before any
+        with pytest.raises(InvalidInput, match="more than the cap"):
+            correlate([], [], window=1e9, bin_width=1.0, duration=1e3)
+        h = correlate([], [], window=5e5, bin_width=1.0, duration=1e3)  # at the cap
+        assert h.counts.size == 10**6
+
     def test_empty_stream_histogram(self):
         h = correlate([], np.arange(10.0), window=50.0, bin_width=1.0, duration=1e3)
         assert h.counts.sum() == 0

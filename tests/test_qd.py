@@ -218,22 +218,15 @@ class TestRenewalSampler:
 
 
 class TestPulsedSampler:
-    @pytest.mark.parametrize(
-        "regime,delay,seed",
-        [(SWEEP_NONE, 0.0, 61), (SWEEP_ELECTRONS, 0.0, 62), (SWEEP_ELECTRONS, 0.45, 63),
-         (SWEEP_FULL, 0.7, 64)],
-    )
-    def test_photons_per_period_match_the_periodic_steady_state(self, regime, delay, seed):
+    @staticmethod
+    def assert_matches_the_periodic_steady_state(model, drive, seed):
         # the counts of successive periods are correlated through the
         # shelved state, so the SE comes from the spread of sub-interval counts
-        model = QDModel(shelve_probability=0.2, unshelve_rate=0.3, marker_rate=0.5)
-        drive = DriveProgram(mode=MODE_PULSED, repetition_rate=80.0, pulse_width=300.0,
-                             sweep_out_regime=regime, sweep_delay=delay, duration=1e6)
         rec = simulate(model, drive, seed)
         expected = pulsed_photons_per_period(
             model.tau_x, model.tau_x2, model.capture_rate, model.shelve_probability,
             model.unshelve_rate, model.marker_rate, model.sweep_rate, drive.period,
-            drive.pulse_width * 1e-3, regime, delay,
+            drive.pulse_width * 1e-3, drive.sweep_out_regime, drive.sweep_delay,
         )
         n_sub = 40
         periods = drive.duration / drive.period / n_sub  # whole periods per sub-interval
@@ -242,10 +235,50 @@ class TestPulsedSampler:
             counts, _ = np.histogram(rec.times(line), bins=edges)
             rate = counts.mean() / periods
             se = counts.std(ddof=1) / np.sqrt(n_sub) / periods
-            if regime == SWEEP_FULL and line == LINE_MARKER:  # full reset never shelves
+            if drive.sweep_out_regime == SWEEP_FULL and line == LINE_MARKER:  # never shelves
                 assert mean == pytest.approx(0.0, abs=1e-12) and counts.sum() == 0
             else:
                 assert abs(rate - mean) < 4.0 * se, (line, rate, mean, se)
+
+    @pytest.mark.parametrize(
+        "regime,delay,seed",
+        [(SWEEP_NONE, 0.0, 61), (SWEEP_ELECTRONS, 0.0, 62), (SWEEP_ELECTRONS, 0.45, 63),
+         (SWEEP_FULL, 0.7, 64)],
+    )
+    def test_photons_per_period_match_the_periodic_steady_state(self, regime, delay, seed):
+        model = QDModel(shelve_probability=0.2, unshelve_rate=0.3, marker_rate=0.5)
+        drive = DriveProgram(mode=MODE_PULSED, repetition_rate=80.0, pulse_width=300.0,
+                             sweep_out_regime=regime, sweep_delay=delay, duration=1e6)
+        self.assert_matches_the_periodic_steady_state(model, drive, seed)
+
+    def test_fig10_shelving_matches_the_periodic_steady_state(self):
+        # long shelved runs at 500 MHz: most of the walk is runs of SHELVED
+        config = load_preset("fig10_shelving")
+        model = QDModel(**{**config["model"], "marker_rate": 0.5})
+        self.assert_matches_the_periodic_steady_state(model, DriveProgram(**config["drive"]), 65)
+
+    def test_times_rise_strictly_within_a_duration_of_no_whole_periods(self):
+        drive = DriveProgram(mode=MODE_PULSED, repetition_rate=80.0, pulse_width=300.0,
+                             duration=12.5 * 4000 + 7.3)
+        t = simulate(QDModel(capture_rate=5.0, marker_rate=0.5), drive, seed=66).time_ns
+        assert t.size > 4000
+        assert np.all(np.diff(t) > 0)
+        assert t[0] >= 0.0 and t[-1] < drive.duration
+
+    def test_zero_capture_rate_gives_an_empty_record(self):
+        drive = DriveProgram(mode=MODE_PULSED, repetition_rate=80.0, duration=1e5)
+        rec = simulate(QDModel(capture_rate=0.0, marker_rate=0.5), drive, seed=67)
+        assert rec.time_ns.size == 0 and rec.line_code.size == 0
+
+    def test_permanent_shelving_leaves_one_x_photon(self, monkeypatch):
+        # the first X decay shelves the dot for good: after it the walk stays
+        # in the SHELVED pool's self-loops, which must grow chunk by chunk
+        monkeypatch.setattr(qd, "_LANES", 1 << 12)
+        model = QDModel(shelve_probability=1.0, unshelve_rate=0.0)
+        drive = DriveProgram(mode=MODE_PULSED, repetition_rate=500.0, duration=1e5)
+        rec = simulate(model, drive, seed=68)
+        assert rec.times(LINE_X).size == 1
+        assert rec.time_ns[-1] == rec.times(LINE_X)[0]
 
 
 class TestDecayProfile:
