@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -142,7 +142,7 @@ def _qd_source(config):
     if drive.mode == qd.MODE_PULSED:
         periods = drive.duration / drive.period
         injecting = periods * drive.pulse_width * 1e-3
-        passes = periods * len(qd._phase_schedule(drive))
+        passes = periods * len(qd._rate_table(model, drive))
     events = model.capture_rate * injecting + model.marker_rate * drive.duration + passes
     _check_work(events, "drive.duration", drive.duration)
     sample = partial(qd.simulate, model, drive)
@@ -224,21 +224,44 @@ def _noise_ratio(config, dark_rate):
     return 1.0 / np.sqrt(1.0 - target) - 1.0
 
 
-def _correlated(config, seed, sample, lines):
-    """Sample, detect ``lines`` on arms A and B, and correlate: hbt's and cross-corr's chain.
+def _check_lines(key, lines):
+    """Each of ``lines`` must be one of ``qd.LINES``, or None for every line."""
+    for line in lines:
+        if line is not None and line not in qd.LINES:
+            raise InvalidInput(
+                f"{key}: unknown emission line {line!r}; known lines: {', '.join(qd.LINES)}"
+            )
 
-    Returns ``(record, histogram, rates)``; ``rates`` holds the signal rate on
-    ``line_filter``, the noise rate (both 1/ns) and any noise/signal ratio set.
+
+def _detection(config, key, lines):
+    """Check what the detection chain reads, before anything is sampled: the
+    ``lines`` (config key ``key``) on arms A and B, the detector pair, the
+    noise and the correlation bins.
+
+    Returns ``(detectors, ratio)``: the detector pair as configured and the
+    noise/signal ratio the config sets, or None.
     """
-    det_cfg = dict(config.get("detectors", {}))
-    ratio = _noise_ratio(config, det_cfg.get("dark_rate"))
+    _check_lines(key, lines)
+    detectors = hbt.DetectorPair(**config.get("detectors", {}))
+    ratio = _noise_ratio(config, detectors.dark_rate)
     corr_cfg = config["correlation"]
     hbt._correlation_bin_count(corr_cfg["window"], corr_cfg["bin_width"])
+    return detectors, ratio
+
+
+def _correlated(config, seed, sample, lines, detectors, ratio):
+    """Sample, detect ``lines`` on arms A and B, and correlate: hbt's and cross-corr's chain.
+
+    ``detectors`` and ``ratio`` come from ``_detection``; a ratio sets the
+    dark rate from the signal rate on ``line_filter``.  Returns ``(record,
+    histogram, rates)``; ``rates`` holds the signal rate, the noise rate (both
+    1/ns) and any noise/signal ratio set.
+    """
+    corr_cfg = config["correlation"]
     record = sample(seed)
     signal_per_ns = record.times(config.get("line_filter")).size / record.duration
     if ratio is not None:
-        det_cfg["dark_rate"] = ratio * signal_per_ns * 1e9
-    detectors = hbt.DetectorPair(**det_cfg)
+        detectors = replace(detectors, dark_rate=ratio * signal_per_ns * 1e9)
     hist = hbt.cross_correlate_lines(
         record, *lines, detectors, seed + 1, corr_cfg["window"], corr_cfg["bin_width"]
     )
@@ -251,20 +274,39 @@ def _correlated(config, seed, sample, lines):
     return record, hist, rates
 
 
+def _check_fit_window(fit_cfg):
+    """The decay fit's window must be two finite numbers, t_start < t_stop."""
+    window = fit_cfg["t_start"], fit_cfg["t_stop"]
+    numeric = all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in window)
+    if not (numeric and -np.inf < window[0] < window[1] < np.inf):
+        raise InvalidInput(
+            "analysis.decay_fit needs finite numbers t_start < t_stop, "
+            f"got t_start={window[0]!r}, t_stop={window[1]!r}"
+        )
+
+
 def cmd_hbt(config, seed):
     sample, repetition_rate, drive = _source_from_config(config)
+    line = config.get("line_filter")
+    detection = _detection(config, "line_filter", (line, line))
     analysis = config.get("analysis", {})
-    if "m_far" in analysis and repetition_rate is None:
-        raise InvalidInput(
-            "analysis.m_far needs a pulsed source: peak areas are read at its repetition rate"
+    if "m_far" in analysis:
+        if repetition_rate is None:
+            raise InvalidInput(
+                "analysis.m_far needs a pulsed source: peak areas are read at its repetition rate"
+            )
+        corr_cfg = config["correlation"]
+        hbt._peak_reach(
+            corr_cfg["window"], corr_cfg["bin_width"], repetition_rate, analysis["m_far"]
         )
     if "decay_fit" in analysis:
         if drive is None:
             raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
         fit_cfg = analysis["decay_fit"]
+        _check_lines("analysis.decay_fit.line", (fit_cfg.get("line", qd.LINE_X),))
         qd._decay_bin_count(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
-    line = config.get("line_filter")
-    record, hist, rates = _correlated(config, seed, sample, (line, line))
+        _check_fit_window(fit_cfg)
+    record, hist, rates = _correlated(config, seed, sample, (line, line), *detection)
     files = {"histogram.csv": hist}
     summary = {
         "n_clicks_a": int(hist.n_a),
@@ -298,7 +340,8 @@ def cmd_cross_corr(config, seed):
     if not lines or len(lines) != 2:
         raise InvalidInput("config needs 'lines': [start_line, stop_line]")
     sample, _, _ = _source_from_config(config)
-    _, hist, _ = _correlated(config, seed, sample, lines)
+    detection = _detection(config, "lines", lines)
+    _, hist, _ = _correlated(config, seed, sample, lines, *detection)
     g2 = hist.g2()
     pos = hist.tau_centers > 0
     summary = {

@@ -14,6 +14,7 @@ zero-delay correlation of an ideal single-photon stream reduces exactly to
 ``g2_zero_closed_form``.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -234,6 +235,32 @@ class PeakAreas:
         np.savetxt(path, table, fmt="%d,%.8e", header=header, comments="")
 
 
+def _peak_reach(window, bin_width, repetition_rate, m_far):
+    """The highest peak order |m| whose window [(m - 1/2) P, (m + 1/2) P) lies
+    within +-``window`` at the period P of ``repetition_rate`` (MHz).
+
+    Checks that ``m_far`` is an integer >= 1 (not a bool) within that reach
+    and that bins of ``bin_width`` ns are no wider than P; ``peak_area_analysis``
+    and the CLI share it, the CLI before the source is sampled.
+    """
+    if not 0.0 < repetition_rate < np.inf:
+        raise InvalidInput(f"repetition rate must be finite and > 0, got {repetition_rate}")
+    if isinstance(m_far, bool) or not isinstance(m_far, numbers.Integral) or m_far < 1:
+        raise InvalidInput(f"m_far must be an integer >= 1, got {m_far!r}")
+    period = 1e3 / repetition_rate
+    if bin_width > period:
+        raise InvalidInput(
+            f"histogram bins ({bin_width} ns) are wider than the pulse period "
+            f"({period:.4f} ns); peak windows would overlap"
+        )
+    m_lim = int(np.floor(window / period + 0.5)) - 1
+    if m_lim < m_far:
+        raise InvalidInput(
+            f"window covers peaks only to |m|={m_lim}, need far peaks |m|>=m_far={m_far}"
+        )
+    return m_lim
+
+
 def peak_area_analysis(hist: CorrelationHistogram, repetition_rate, m_far=10) -> PeakAreas:
     """Integrate a pulsed correlation histogram into per-peak areas.
 
@@ -243,23 +270,10 @@ def peak_area_analysis(hist: CorrelationHistogram, repetition_rate, m_far=10) ->
     source without long-time memory is the Poisson level; area(0) then
     estimates g2(0).
     """
-    if repetition_rate <= 0:
-        raise InvalidInput(f"repetition rate must be > 0, got {repetition_rate}")
-    if m_far < 1:
-        raise InvalidInput(f"m_far must be >= 1, got {m_far}")
-    period = 1e3 / repetition_rate
-    if hist.bin_width > period:
-        raise InvalidInput(
-            f"histogram bins ({hist.bin_width} ns) are wider than the pulse period "
-            f"({period:.4f} ns); peak windows would overlap"
-        )
     half = hist.bin_width / 2
     edges = np.append(hist.tau_centers - half, hist.tau_centers[-1] + half)
-    m_lim = int(np.floor(edges[-1] / period + 0.5)) - 1
-    if m_lim < m_far:
-        raise InvalidInput(
-            f"window covers peaks only to |m|={m_lim}, need far peaks |m|>={m_far}"
-        )
+    m_lim = _peak_reach(edges[-1], hist.bin_width, repetition_rate, m_far)
+    period = 1e3 / repetition_rate
     orders = np.arange(-m_lim, m_lim + 1)
     # the cumulative count, linear within each bin, read at the window edges
     cumulative = np.concatenate(([0.0], np.cumsum(hist.counts)))

@@ -164,31 +164,38 @@ class EmissionRecord:
         return self.time_ns[self.mask(line)]
 
 
-def _phase_schedule(drive: DriveProgram):
-    """Per-period list of (start_ns, injection_on, sweep_on) phase segments."""
-    if drive.mode == MODE_DC:
-        return [(0.0, True, False)]
-    end = drive.pulse_width * 1e-3  # pulse end, ns
-    sweep = drive.sweep_out_regime != SWEEP_NONE
-    if sweep and drive.sweep_delay > 0:
-        return [(0.0, True, False), (end, False, False), (end + drive.sweep_delay, False, True)]
-    return [(0.0, True, False), (end, False, sweep)]
-
-
 def _rate_table(model: QDModel, drive: DriveProgram):
-    """Per phase segment, per state: (total rate, thresholds, next states, lines).
+    """The model's rates as arrays, one entry per phase segment of a period:
+    (start, end, mean dwell, bounds, next states, lines).
 
-    Each branch is one transition out of the state.  ``thresholds`` are the
-    cumulative branch probabilities without the final 1, so a uniform draw u
-    takes the branch whose index is the number of thresholds <= u; ``lines``
-    holds the code of the photon each branch emits, or -1.  Shelving after an
-    X decay is a branch of its own, so it needs no second draw.
+    A pulsed period is the pulse (injection on), then the time between
+    pulses, whose sweep-out, if any, starts ``sweep_delay`` after the pulse;
+    a DC drive is one segment with no end.  Each branch is one transition out
+    of a state; shelving after an X decay is a branch of its own, so it needs
+    no second draw.  The mean dwell is indexed by state; a state with total
+    rate 0 dwells forever (``inf``).  ``bounds`` holds, state after state,
+    s and s + each cumulative branch probability of state s but the last (1),
+    and drops the leading 0, so a lane in state s with a uniform draw u takes
+    the branch at ``searchsorted(bounds, s + u, "right")`` of the next states
+    and lines, which list every state's branches in order; ``lines`` holds
+    the code of the photon each branch emits, or -1.
     """
-    full = drive.sweep_out_regime == SWEEP_FULL
-    shelve = 0.0 if full else model.shelve_probability
+    if drive.mode == MODE_DC:
+        phases, period = [(0.0, True, False)], np.inf
+    else:
+        pulse = drive.pulse_width * 1e-3  # pulse end, ns
+        sweep = drive.sweep_out_regime != SWEEP_NONE
+        if sweep and drive.sweep_delay > 0:
+            phases = [(0.0, True, False), (pulse, False, False),
+                      (pulse + drive.sweep_delay, False, True)]
+        else:
+            phases = [(0.0, True, False), (pulse, False, sweep)]
+        period = drive.period
+    ends = [start for start, _, _ in phases[1:]] + [period]
+    shelve = 0.0 if drive.sweep_out_regime == SWEEP_FULL else model.shelve_probability
     x, x2, marker = range(len(LINES))
     table = []
-    for _, injecting, sweeping in _phase_schedule(drive):
+    for (start, injecting, sweeping), end in zip(phases, ends):
         capture = model.capture_rate * injecting
         sweep = model.sweep_rate * sweeping
         branches = (  # (rate, next state, line) out of empty, X, X2, shelved
@@ -196,25 +203,30 @@ def _rate_table(model: QDModel, drive: DriveProgram):
             [((1 - shelve) / model.tau_x, _EMPTY, x), (shelve / model.tau_x, _SHELVED, x),
              (capture, _X2, -1), (sweep, _EMPTY, -1)],
             [(1 / model.tau_x2, _X, x2), (sweep, _EMPTY, -1)],
-            [(model.unshelve_rate, _EMPTY, -1), (model.marker_rate, _SHELVED, marker),
-             (sweep * full, _EMPTY, -1)],
+            [(model.unshelve_rate, _EMPTY, -1), (model.marker_rate, _SHELVED, marker)],
         )
-        row = []
-        for out in branches:
-            rates, states, lines = zip(*([b for b in out if b[0] > 0.0] or [(0.0, _EMPTY, -1)]))
+        dwell, bounds, next_states, lines = [], [], [], []
+        for s, out in enumerate(branches):
+            rates, states, codes = zip(*([b for b in out if b[0] > 0.0] or [(0.0, _EMPTY, -1)]))
             total = sum(rates)
-            row.append((total, (np.cumsum(rates[:-1]) / total).tolist(), states, lines))
-        table.append(row)
+            dwell.append(1.0 / total if total > 0.0 else np.inf)
+            bounds += [s + t for t in (0.0, *(np.cumsum(rates[:-1]) / total).tolist())]
+            next_states += states
+            lines += codes
+        table.append((start, end, np.array(dwell), np.array(bounds[1:]),
+                      np.array(next_states, dtype=np.int8), np.array(lines, dtype=np.int8)))
     return table
 
 
-def _branch_probability(entry, next_state):
-    """Probability that the transition out of a rate-table entry goes to ``next_state``."""
-    total, thresholds, states, _ = entry
-    if total == 0.0:
+def _branch_probability(segment, state, next_state):
+    """Probability that a jump out of ``state`` in a rate-table segment goes to ``next_state``."""
+    _, _, dwell, bounds, next_states, _ = segment
+    if dwell[state] == np.inf:
         return 0.0
-    probs = np.diff([0.0, *thresholds, 1.0])
-    return float(probs[np.equal(states, next_state)].sum())
+    edges = np.append(0.0, bounds)  # branch b is taken for s + u in [edges[b], edges[b + 1])
+    own = np.flatnonzero(np.floor(edges) == state)
+    probs = np.diff(np.append(edges[own], state + 1.0))
+    return float(probs[next_states[own] == next_state].sum())
 
 
 def simulate(model: QDModel, drive: DriveProgram, seed: int) -> EmissionRecord:
@@ -225,13 +237,13 @@ def simulate(model: QDModel, drive: DriveProgram, seed: int) -> EmissionRecord:
     (``_pooled_record``).
     """
     rng = np.random.default_rng(seed)
-    table = _rate_table(model, drive)
+    segments = _rate_table(model, drive)
     if drive.mode == MODE_DC:
-        return _dc_record(table[0], drive.duration, rng)
-    return _pooled_record(table, drive, rng)
+        return _dc_record(segments[0], drive.duration, rng)
+    return _pooled_record(segments, drive, rng)
 
 
-def _dc_record(row, duration, rng):
+def _dc_record(segment, duration, rng):
     """DC photon record as i.i.d. renewal cycles, drawn ``_CYCLES`` at a time.
 
     Under DC drive every X decay is a renewal point.  The cycle that ends at
@@ -245,18 +257,16 @@ def _dc_record(row, duration, rng):
     times.  A batch holds at most ``_CYCLES`` markers: the shelved dwell that
     reaches that count is cut after it and, the dwell being memoryless, the
     next batch starts shelved.  Rates and branch probabilities come from the
-    DC row of the rate table.
+    DC segment of the rate table.
     """
-    capture = row[_EMPTY][0]
+    _, _, state_dwell, *_ = segment
+    capture = 1.0 / state_dwell[_EMPTY]
     if capture == 0.0:
         return EmissionRecord([], [], duration)
-    shelf_rate = row[_SHELVED][0]
-    # mean dwell that ends in a photon, by line code
-    dwell = np.array([1.0 / row[_X][0], 1.0 / row[_X2][0],
-                      1.0 / shelf_rate if shelf_rate > 0.0 else np.inf])
-    p_loop = _branch_probability(row[_X], _X2)
-    p_shelve = _branch_probability(row[_X], _SHELVED) / (1.0 - p_loop)
-    p_unshelve = _branch_probability(row[_SHELVED], _EMPTY)
+    dwell = state_dwell[_X:]  # mean dwell that ends in a photon, by line code
+    p_loop = _branch_probability(segment, _X, _X2)
+    p_shelve = _branch_probability(segment, _X, _SHELVED) / (1.0 - p_loop)
+    p_unshelve = _branch_probability(segment, _SHELVED, _EMPTY)
     x, x2, marker = range(len(LINES))
     batches, t, start_shelved = [], 0.0, False
     while t < duration:
@@ -302,28 +312,6 @@ def _dc_record(row, duration, rng):
     return EmissionRecord(times[:keep], codes[:keep], duration)
 
 
-def _segments(table, drive):
-    """The rate table as arrays: per phase segment (start, end, mean dwell,
-    bounds, next states, lines).
-
-    The mean dwell is indexed by state; a state with total rate 0 dwells
-    forever (``inf``).  ``bounds`` holds, state after state, each state's
-    index s and s + each of its thresholds, without the leading 0, so a lane
-    in state s with a uniform draw u takes the branch at
-    ``searchsorted(bounds, s + u, "right")`` of the next states and lines,
-    which list every state's branches in order.
-    """
-    starts = [start for start, _, _ in _phase_schedule(drive)]
-    segments = []
-    for start, end, row in zip(starts, starts[1:] + [drive.period], table):
-        dwell = np.array([1.0 / total if total > 0.0 else np.inf for total, *_ in row])
-        bounds = [s + x for s, (_, thresholds, _, _) in enumerate(row) for x in (0, *thresholds)]
-        next_states = np.array([n for _, _, states, _ in row for n in states], dtype=np.int8)
-        lines = np.array([c for *_, codes in row for c in codes], dtype=np.int8)
-        segments.append((start, end, dwell, np.array(bounds[1:]), next_states, lines))
-    return segments
-
-
 def _period_paths(segments, start, lanes, rng):
     """``lanes`` i.i.d. paths through one period, each starting in ``start``.
 
@@ -360,7 +348,7 @@ def _period_paths(segments, start, lanes, rng):
     return end, counts, np.concatenate(time_hits)[order], np.concatenate(code_hits)[order]
 
 
-def _pooled_record(table, drive, rng):
+def _pooled_record(segments, drive, rng):
     """Pulsed photon record from pools of one-period paths, one pool per start state.
 
     The k-th period that starts in state s takes the next unused path of s's
@@ -380,9 +368,8 @@ def _pooled_record(table, drive, rng):
     within the period, so one stable sort on the times merges the states'
     photons into period order.
     """
-    segments = _segments(table, drive)
     period, n = drive.period, int(np.ceil(drive.duration / drive.period))
-    n_states = len(table[0])
+    n_states = segments[0][2].size
     size, last_leave = [0] * n_states, [-1] * n_states
     run_len, leave_to = [[] for _ in range(n_states)], [[] for _ in range(n_states)]
     drawn = [[] for _ in range(n_states)]  # (counts, times, codes) per chunk
@@ -501,20 +488,20 @@ def throughput_ratio(collection_gain, rate_gain, qe_factor):
     return collection_gain * rate_gain * qe_factor
 
 
-def poisson_photon_record(rate_per_ns, duration_ns, seed, line=LINE_X) -> EmissionRecord:
-    """Classical Poissonian reference source (laser-like), for control runs."""
+def poisson_photon_record(rate_per_ns, duration_ns, seed) -> EmissionRecord:
+    """Classical Poissonian reference source (laser-like) on the X line, for control runs."""
     if not (0.0 <= rate_per_ns < np.inf and 0.0 < duration_ns < np.inf):
         raise InvalidInput("rate must be finite and >= 0 and duration finite and > 0")
     rng = np.random.default_rng(seed)
     n = rng.poisson(rate_per_ns * duration_ns)
     times = np.sort(rng.uniform(0.0, duration_ns, n))
-    return EmissionRecord(times, np.full(times.size, _line_code(line)), duration_ns)
+    return EmissionRecord(times, np.full(times.size, LINES.index(LINE_X)), duration_ns)
 
 
 def pulsed_poisson_record(
-    repetition_rate_mhz, mean_photons_per_pulse, duration_ns, seed, jitter_ns=0.05, line=LINE_X
+    repetition_rate_mhz, mean_photons_per_pulse, duration_ns, seed, jitter_ns=0.05
 ) -> EmissionRecord:
-    """Pulsed classical source: Poisson photon number per pulse, Gaussian spread."""
+    """Pulsed classical source on the X line: Poisson photon number per pulse, Gaussian spread."""
     if not (0.0 < repetition_rate_mhz < np.inf and 0.0 < duration_ns < np.inf):
         raise InvalidInput("repetition rate and duration must be finite and > 0")
     if not (0.0 <= mean_photons_per_pulse < np.inf and 0.0 <= jitter_ns < np.inf):
@@ -525,4 +512,4 @@ def pulsed_poisson_record(
     pulse = np.repeat(np.arange(n_pulses), rng.poisson(mean_photons_per_pulse, n_pulses))
     times = pulse * period + np.abs(rng.normal(0.0, jitter_ns, pulse.size))
     times = np.sort(times[times < duration_ns])
-    return EmissionRecord(times, np.full(times.size, _line_code(line)), duration_ns)
+    return EmissionRecord(times, np.full(times.size, LINES.index(LINE_X)), duration_ns)

@@ -237,6 +237,46 @@ class TestExitCodes:
         assert "cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,preset,config,key",
+        [
+            ("hbt", "fig10_shelving", {"analysis": {"m_far": "x"}}, "m_far"),
+            ("hbt", "fig10_shelving", {"analysis": {"m_far": 100}}, "m_far=100"),
+            ("hbt", "fig10_shelving", {"analysis": {"m_far": 2.5}}, "m_far"),
+            ("hbt", "fig10_shelving", {"analysis": {"m_far": True}}, "m_far"),
+            ("hbt", "laser_80mhz", {"correlation": {"window": 1000.0, "bin_width": 20.0}},
+             "wider than the pulse period"),
+            ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"line": "Y"}}},
+             "analysis.decay_fit.line"),
+            ("hbt", None, {key: value for key, value in load_preset("fig8_jitter").items()
+                           if key != "analysis"} | {"analysis": {"decay_fit": {"t_stop": 9.0}}},
+             "analysis.decay_fit.t_start"),
+            ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"t_start": "a"}}}, "t_start"),
+            ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"t_start": 9.0, "t_stop": 1.5}}},
+             "t_start < t_stop"),
+            ("hbt", "fig10_shelving", {"detectors": {"efficiency": 2.0}}, "efficiency"),
+            ("hbt", "fig10_shelving", {"detectors": {"timing_jitter_sigma": -1.0}},
+             "timing_jitter_sigma"),
+            ("hbt", "fig10_shelving", {"line_filter": "Y"}, "line_filter"),
+            ("cross-corr", "cascade_x2_x", {"lines": ["X2", "Y"]}, "lines"),
+        ],
+        ids=["m-far-string", "m-far-beyond-the-window", "m-far-fraction", "m-far-bool",
+             "bins-wider-than-the-period", "decay-fit-line", "decay-fit-no-t-start",
+             "decay-fit-t-start-string", "decay-fit-window-reversed", "detector-efficiency",
+             "detector-jitter", "line-filter", "cross-corr-lines"],
+    )
+    def test_analysis_detector_and_line_keys_exit_2_before_sampling(
+        self, tmp_path, capsys, no_sampling, command, preset, config, key
+    ):
+        path = write_config(tmp_path, config)
+        on_preset = ["--preset", preset] if preset else []
+        out = tmp_path / "out"
+        rc = cli.main([command, *on_preset, "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
         "preset,config,key",
         [
             ("dc_eq1", {"drive": {"duration": 1e15}}, "drive.duration"),
