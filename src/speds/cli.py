@@ -2,7 +2,9 @@
 
 One subcommand per entry of ``_COMMANDS``.  Every run is deterministic given
 (config, seed); all outputs land in --out, and a run that fails writes none.
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
+Exit codes: 0 success, 2 usage/config error (``InvalidInput`` or
+``UnsupportedInput``), 3 numerical failure (``NumericalFailure``); any other
+exception is a bug and ends in a traceback.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from .designer import (
     optimize_top_mirror,
     sweep_bottom_mirror,
 )
-from .errors import InvalidInput, NumericalFailure, UnsupportedInput
+from .errors import InvalidInput, NumericalFailure, UnsupportedInput, number
 from .multilayer import DESIGN_WAVELENGTH_NM, LayerStack
 from .presets import available_presets, load_preset
 
@@ -49,9 +51,10 @@ _SWEEP_STUDIES = {
 _DC_DRIVE_KEYS = _leaves(("mode", "duration"))
 # Expected events a photon source may draw: photons, plus the pulses of a
 # pulsed Poisson source, or the periods x phase segments of a pulsed qd
-# drive, which bound the segment passes of its pools' lane work.  The largest
-# preset, fig10_full_reset, asks for about 9e6 (3e6 captures, 6e6 segment
-# passes); far above it a run would exhaust memory or time.
+# drive, which bound the segment passes of its pools' lane work.  The dark
+# counts of a run are held to the same cap.  The largest preset,
+# fig10_full_reset, asks for about 9e6 (3e6 captures, 6e6 segment passes);
+# far above it a run would exhaust memory or time.
 _MAX_SOURCE_EVENTS = 1e8
 
 
@@ -65,7 +68,9 @@ def _geometry_from_config(config):
         return dipole.EmissionGeometry(half, half, dipole.DipoleSource(lam, n, lam, lam))
     if "design" not in config:
         raise InvalidInput("config needs a 'design' or 'homogeneous' block")
-    return geometry_for(CavityDesign(**config["design"]))
+    design = config["design"]
+    # bottom_periods has no default: read it first, so a missing one is named
+    return geometry_for(CavityDesign(**{"bottom_periods": design["bottom_periods"], **design}))
 
 
 # Each handler maps (config, seed) to (summary, files, text): ``files`` maps
@@ -74,8 +79,8 @@ def _geometry_from_config(config):
 
 
 def cmd_emission_pattern(config, seed):
-    na = dipole._check_numerical_aperture(config.get("numerical_aperture", 0.5))
     geometry = _geometry_from_config(config)
+    na = float(geometry.aperture(config.get("numerical_aperture", 0.5)))
     spectrum = dipole.emission_pattern(geometry, **config.get("pattern", {}))
     eta = dipole.direct_collection_efficiency(geometry, na, spectrum.total_power)
     summary = {
@@ -91,7 +96,7 @@ def cmd_emission_pattern(config, seed):
 def _sweep_keys(config):
     """The keys of the sweep study a config names."""
     study = config.get("study", "bottom")
-    if study not in _SWEEP_STUDIES:
+    if not isinstance(study, str) or study not in _SWEEP_STUDIES:
         raise InvalidInput(f"study must be 'bottom' or 'top', got {study!r}")
     return {"study": None, **_SWEEP_STUDIES[study]}
 
@@ -126,11 +131,11 @@ def cmd_cavity_sweep(config, seed):
 
 
 def _check_work(events, key, value):
-    """Reject a source whose expected events exceed ``_MAX_SOURCE_EVENTS``."""
+    """Reject expected events above ``_MAX_SOURCE_EVENTS``."""
     if events > _MAX_SOURCE_EVENTS:
         raise InvalidInput(
-            f"{key} {value:g} asks for about {events:.2g} source events (photons, "
-            f"pulses, segment passes), more than the cap of {_MAX_SOURCE_EVENTS:.0e}"
+            f"{key} {value:g} asks for about {events:.2g} events (photons, pulses, "
+            f"segment passes, dark counts), more than the cap of {_MAX_SOURCE_EVENTS:.0e}"
         )
 
 
@@ -147,31 +152,34 @@ def _qd_source(config):
     _check_work(events, "drive.duration", drive.duration)
     sample = partial(qd.simulate, model, drive)
     if drive.mode == qd.MODE_PULSED:
-        return sample, drive.repetition_rate, drive
-    return sample, None, None
+        return sample, drive.duration, drive.repetition_rate, drive
+    return sample, drive.duration, None, None
 
 
 def _poisson_dc_source(config):
     p = config["poisson"]
-    # the float first: a string or list rate raises TypeError instead of repeating
-    _check_work(1.0 * p["rate_per_ns"] * p["duration"], "poisson.duration", p["duration"])
-    return partial(qd.poisson_photon_record, p["rate_per_ns"], p["duration"]), None, None
+    # numbers for the work estimate; the source checks their ranges
+    rate, duration = (number(p[k], f"poisson.{k}") for k in ("rate_per_ns", "duration"))
+    _check_work(rate * duration, "poisson.duration", duration)
+    return partial(qd.poisson_photon_record, rate, duration), duration, None, None
 
 
 def _poisson_pulsed_source(config):
     p = config["poisson"]
     jitter = {"jitter_ns": p["jitter_ns"]} if "jitter_ns" in p else {}
-    args = (p["repetition_rate"], p["mean_photons_per_pulse"], p["duration"])
+    args = [number(p[k], f"poisson.{k}")
+            for k in ("repetition_rate", "mean_photons_per_pulse", "duration")]
     pulses = args[0] * 1e-3 * args[2]  # one Poisson draw per pulse, then its photons
     _check_work(pulses * (1.0 + args[1]), "poisson.duration", args[2])
-    return partial(qd.pulsed_poisson_record, *args, **jitter), args[0], None
+    return partial(qd.pulsed_poisson_record, *args, **jitter), args[2], args[0], None
 
 
 # Each photon source's builder and the config keys it reads beside the
 # detection keys.  A builder checks the source and its work cap without
-# sampling it and returns ``(sample, repetition_rate, pulsed_drive)``:
-# ``sample(seed)`` draws the ``EmissionRecord``, the rate (MHz) is None for a
-# DC source, and the drive is a qd source's pulsed ``DriveProgram``, else None.
+# sampling it and returns ``(sample, duration, repetition_rate, pulsed_drive)``:
+# ``sample(seed)`` draws the ``EmissionRecord`` of ``duration`` ns, the rate
+# (MHz) is None for a DC source, and the drive is a qd source's pulsed
+# ``DriveProgram``, else None.
 _SOURCES = {
     "qd": (_qd_source, {"model": qd.QDModel, "drive": qd.DriveProgram}),
     "poisson_dc": (_poisson_dc_source, {"poisson": _leaves(("rate_per_ns", "duration"))}),
@@ -187,7 +195,7 @@ def _source_keys(config):
     on the source: a DC drive reads only ``_DC_DRIVE_KEYS``.
     """
     source = config.get("source", "qd")
-    if source not in _SOURCES:
+    if not isinstance(source, str) or source not in _SOURCES:
         raise InvalidInput(f"unknown source {source!r}; known sources: {', '.join(_SOURCES)}")
     keys = {**_DETECTION_KEYS, **_SOURCES[source][1]}
     drive = config.get("drive")
@@ -215,11 +223,8 @@ def _noise_ratio(config, dark_rate):
     target = config.get("target_g2_zero")
     if target is None:
         ratio = config.get("noise_to_signal_ratio")
-        if ratio is not None and not 0.0 <= ratio < np.inf:
-            raise InvalidInput(f"noise_to_signal_ratio must be finite and >= 0, got {ratio}")
-        return ratio
-    if not 0.0 <= target < 1.0:
-        raise InvalidInput(f"target_g2_zero must be in [0, 1), got {target}")
+        return None if ratio is None else number(ratio, "noise_to_signal_ratio", low=0.0)
+    number(target, "target_g2_zero", low=0.0, below=1.0)
     # invert g2 = (2x + x^2) / (1 + x)^2 for the noise/signal ratio x
     return 1.0 / np.sqrt(1.0 - target) - 1.0
 
@@ -233,16 +238,19 @@ def _check_lines(key, lines):
             )
 
 
-def _detection(config, key, lines):
+def _detection(config, key, lines, duration):
     """Check what the detection chain reads, before anything is sampled: the
     ``lines`` (config key ``key``) on arms A and B, the detector pair, the
-    noise and the correlation bins.
+    noise, a given dark rate's counts over ``duration`` ns, and the
+    correlation bins.
 
     Returns ``(detectors, ratio)``: the detector pair as configured and the
     noise/signal ratio the config sets, or None.
     """
     _check_lines(key, lines)
     detectors = hbt.DetectorPair(**config.get("detectors", {}))
+    dark_counts = detectors.dark_rate * duration / 1e9
+    _check_work(dark_counts, "detectors.dark_rate", detectors.dark_rate)
     ratio = _noise_ratio(config, detectors.dark_rate)
     corr_cfg = config["correlation"]
     hbt._correlation_bin_count(corr_cfg["window"], corr_cfg["bin_width"])
@@ -253,14 +261,18 @@ def _correlated(config, seed, sample, lines, detectors, ratio):
     """Sample, detect ``lines`` on arms A and B, and correlate: hbt's and cross-corr's chain.
 
     ``detectors`` and ``ratio`` come from ``_detection``; a ratio sets the
-    dark rate from the signal rate on ``line_filter``.  Returns ``(record,
-    histogram, rates)``; ``rates`` holds the signal rate, the noise rate (both
-    1/ns) and any noise/signal ratio set.
+    dark rate from the signal rate on ``line_filter``, its counts checked
+    against the cap before any is drawn.  Returns ``(record, histogram,
+    rates)``; ``rates`` holds the signal rate, the noise rate (both 1/ns) and
+    any noise/signal ratio set.
     """
     corr_cfg = config["correlation"]
     record = sample(seed)
-    signal_per_ns = record.times(config.get("line_filter")).size / record.duration
+    signal = record.times(config.get("line_filter")).size
+    signal_per_ns = signal / record.duration
     if ratio is not None:
+        key = "noise_to_signal_ratio" if config.get("target_g2_zero") is None else "target_g2_zero"
+        _check_work(ratio * signal, key, config[key])
         detectors = replace(detectors, dark_rate=ratio * signal_per_ns * 1e9)
     hist = hbt.cross_correlate_lines(
         record, *lines, detectors, seed + 1, corr_cfg["window"], corr_cfg["bin_width"]
@@ -274,21 +286,10 @@ def _correlated(config, seed, sample, lines, detectors, ratio):
     return record, hist, rates
 
 
-def _check_fit_window(fit_cfg):
-    """The decay fit's window must be two finite numbers, t_start < t_stop."""
-    window = fit_cfg["t_start"], fit_cfg["t_stop"]
-    numeric = all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in window)
-    if not (numeric and -np.inf < window[0] < window[1] < np.inf):
-        raise InvalidInput(
-            "analysis.decay_fit needs finite numbers t_start < t_stop, "
-            f"got t_start={window[0]!r}, t_stop={window[1]!r}"
-        )
-
-
 def cmd_hbt(config, seed):
-    sample, repetition_rate, drive = _source_from_config(config)
+    sample, duration, repetition_rate, drive = _source_from_config(config)
     line = config.get("line_filter")
-    detection = _detection(config, "line_filter", (line, line))
+    detection = _detection(config, "line_filter", (line, line), duration)
     analysis = config.get("analysis", {})
     if "m_far" in analysis:
         if repetition_rate is None:
@@ -305,7 +306,14 @@ def cmd_hbt(config, seed):
         fit_cfg = analysis["decay_fit"]
         _check_lines("analysis.decay_fit.line", (fit_cfg.get("line", qd.LINE_X),))
         qd._decay_bin_count(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
-        _check_fit_window(fit_cfg)
+        t_start, t_stop = (
+            number(fit_cfg[k], f"analysis.decay_fit.{k}") for k in ("t_start", "t_stop")
+        )
+        if not t_start < t_stop:
+            raise InvalidInput(
+                f"analysis.decay_fit needs t_start < t_stop, got t_start={t_start!r}, "
+                f"t_stop={t_stop!r}"
+            )
     record, hist, rates = _correlated(config, seed, sample, (line, line), *detection)
     files = {"histogram.csv": hist}
     summary = {
@@ -325,9 +333,7 @@ def cmd_hbt(config, seed):
     if "decay_fit" in analysis:
         profile_cfg = {k: v for k, v in fit_cfg.items() if k in ("line", "bin_ps")}
         centers, counts = qd.decay_profile(record, drive, **profile_cfg)
-        summary["fitted_decay_ns"] = qd.fit_decay_time(
-            centers, counts, fit_cfg["t_start"], fit_cfg["t_stop"]
-        )
+        summary["fitted_decay_ns"] = qd.fit_decay_time(centers, counts, t_start, t_stop)
     text = (
         f"g2(0) measured = {summary['g2_zero_measured']:.4f}, "
         f"Eq.(1) prediction = {summary['g2_zero_eq1_prediction']:.4f}"
@@ -337,10 +343,10 @@ def cmd_hbt(config, seed):
 
 def cmd_cross_corr(config, seed):
     lines = config.get("lines")
-    if not lines or len(lines) != 2:
+    if not (isinstance(lines, list) and len(lines) == 2):
         raise InvalidInput("config needs 'lines': [start_line, stop_line]")
-    sample, _, _ = _source_from_config(config)
-    detection = _detection(config, "lines", lines)
+    sample, duration, _, _ = _source_from_config(config)
+    detection = _detection(config, "lines", lines, duration)
     _, hist, _ = _correlated(config, seed, sample, lines, *detection)
     g2 = hist.g2()
     pos = hist.tau_centers > 0
@@ -435,15 +441,19 @@ def _merged(base, overrides):
 
 
 def _check_keys(block, known, path=""):
-    """Reject the first key, at any nesting level, that the command does not read."""
+    """Reject the first key, at any nesting level, that the command does not
+    read, and a block that is not a JSON object."""
     for key, value in block.items():
         if key not in known:
             raise InvalidInput(f"unknown config key {path}{key}")
         sub = known[key]
+        if sub is None:
+            continue
+        if not isinstance(value, dict):
+            raise InvalidInput(f"config key {path}{key} must be a JSON object, got {value!r}")
         if is_dataclass(sub):
             sub = _leaves(f.name for f in fields(sub))
-        if sub is not None and isinstance(value, dict):
-            _check_keys(value, sub, f"{path}{key}.")
+        _check_keys(value, sub, f"{path}{key}.")
 
 
 def _load_config(args):
@@ -453,8 +463,11 @@ def _load_config(args):
     if args.preset is not None:
         config = load_preset(args.preset)
     if args.config is not None:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                overrides = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidInput(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidInput(
                 f"config {args.config} must hold a JSON object, "
@@ -478,11 +491,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
+        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        number(seed, "seed", low=0, integer=True)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise InvalidInput(f"cannot create output directory: {exc}") from exc
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
         summary, files, text = _COMMANDS[args.command][0](config, seed)
         for name, result in files.items():
             result.to_csv(os.path.join(args.out, name))
@@ -492,17 +506,10 @@ def main(argv=None):
             fh.write("\n")
         print(text)
         return 0
-    except (
-        InvalidInput,
-        UnsupportedInput,
-        KeyError,
-        TypeError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (InvalidInput, UnsupportedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalFailure, ValueError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

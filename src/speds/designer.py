@@ -11,19 +11,13 @@ Two geometry presets are built in:
     dipole centered at the field antinode.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from .dipole import (
-    DipoleSource,
-    EmissionGeometry,
-    _check_numerical_aperture,
-    mirror_sweep_efficiencies,
-)
-from .errors import InvalidInput
+from .dipole import DipoleSource, EmissionGeometry, mirror_sweep_efficiencies
+from .errors import InvalidInput, number
 from .multilayer import DESIGN_WAVELENGTH_NM, N_ALAS, N_GAAS, LayerStack, build_bragg
 
 FIG5_PRESET = "fig5_geometry"
@@ -35,17 +29,6 @@ TOP_MIRROR_PRESET = "top_mirror_geometry"
 MAX_MIRROR_PERIODS = 100
 
 
-def _check_period_count(name, value, least):
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or not least <= value <= MAX_MIRROR_PERIODS
-    ):
-        raise InvalidInput(
-            f"{name} must be an integer in [{least}, {MAX_MIRROR_PERIODS}], got {value!r}"
-        )
-
-
 @dataclass(frozen=True)
 class CavityDesign:
     bottom_periods: int
@@ -54,17 +37,17 @@ class CavityDesign:
     dipole_depth_below_surface: float = 2.0  # in design wavelengths (optical)
 
     def __post_init__(self):
-        _check_period_count("bottom_periods", self.bottom_periods, 0)
-        _check_period_count("top_periods", self.top_periods, 0)
-        if self.cavity_order <= 0 or (2.0 * self.cavity_order) % 1.0 != 0:
+        for name in ("bottom_periods", "top_periods"):
+            number(getattr(self, name), name, low=0, high=MAX_MIRROR_PERIODS, integer=True)
+        number(self.cavity_order, "cavity_order", above=0.0)
+        if (2.0 * self.cavity_order) % 1.0 != 0:
             raise InvalidInput(
                 f"cavity order must be a positive multiple of 0.5, got {self.cavity_order}"
             )
-        if not (0.0 < self.dipole_depth_below_surface < self.cavity_order):
-            raise InvalidInput(
-                "dipole depth must lie strictly inside the cavity "
-                f"(0, {self.cavity_order}), got {self.dipole_depth_below_surface}"
-            )
+        number(
+            self.dipole_depth_below_surface, "dipole_depth_below_surface",
+            above=0.0, below=self.cavity_order,
+        )
 
 
 @dataclass
@@ -144,10 +127,14 @@ def sweep_bottom_mirror(max_periods=25, numerical_apertures: Sequence[float] = (
 
     Returns {numerical_aperture: SweepResult} with N = 0..max_periods.
     """
-    _check_period_count("max_periods", max_periods, 12)
-    if len(numerical_apertures) == 0:
-        raise InvalidInput("numerical_apertures must list at least one aperture")
-    nas = [_check_numerical_aperture(na) for na in numerical_apertures]
+    number(max_periods, "max_periods", low=12, high=MAX_MIRROR_PERIODS, integer=True)
+    if not isinstance(numerical_apertures, (list, tuple)) or not numerical_apertures:
+        raise InvalidInput(
+            f"numerical_apertures must list at least one aperture, got {numerical_apertures!r}"
+        )
+    nas = [
+        number(na, "numerical_apertures", above=0.0, high=1.0) for na in numerical_apertures
+    ]
     periods = list(range(max_periods + 1))
     geometry = geometry_for(fig5_design(max_periods))
     etas = mirror_sweep_efficiencies(geometry, "lower", nas)
@@ -156,9 +143,9 @@ def sweep_bottom_mirror(max_periods=25, numerical_apertures: Sequence[float] = (
 
 def optimize_top_mirror(bottom_periods=12, max_top=10, numerical_aperture=0.5):
     """Collection efficiency versus top-mirror repeats for a one-wavelength cavity."""
-    _check_period_count("bottom_periods", bottom_periods, 0)
-    _check_period_count("max_top", max_top, 0)
-    na = _check_numerical_aperture(numerical_aperture)
+    number(bottom_periods, "bottom_periods", low=0, high=MAX_MIRROR_PERIODS, integer=True)
+    number(max_top, "max_top", low=0, high=MAX_MIRROR_PERIODS, integer=True)
+    na = number(numerical_aperture, "numerical_aperture", above=0.0, high=1.0)
     geometry = geometry_for(top_mirror_design(max_top, bottom_periods))
     etas = mirror_sweep_efficiencies(geometry, "upper", [na])
     return SweepResult(list(range(max_top + 1)), etas[na].tolist())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, UnsupportedInput
+from .errors import InvalidInput, NumericalFailure, UnsupportedInput, number
 from .multilayer import TE, TM, LayerStack, _check_index, bragg_prefix_rt, stack_rt
 
 # Imaginary part added to every finite layer index: damps guided-mode poles
@@ -98,19 +98,6 @@ def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, orde
     )
 
 
-def _check_numerical_aperture(numerical_aperture):
-    """The numerical aperture as a float, checked to lie in (0, 1]."""
-    try:
-        na = float(numerical_aperture)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(
-            f"numerical aperture must be a number, got {numerical_aperture!r}"
-        ) from exc
-    if not (0.0 < na <= 1.0):
-        raise InvalidInput(f"numerical aperture must be in (0, 1], got {na}")
-    return na
-
-
 def _bin_edges_rad(theta_deg):
     """Edges of the bins around each grid angle: the midpoints between
     neighbours, closed by the grid's end points."""
@@ -128,12 +115,10 @@ class DipoleSource:
     distance_to_lower_stack: float  # nm
 
     def __post_init__(self):
-        if self.vacuum_wavelength <= 0:
-            raise InvalidInput(f"wavelength must be > 0, got {self.vacuum_wavelength}")
+        number(self.vacuum_wavelength, "vacuum_wavelength", above=0.0)
         object.__setattr__(self, "host_index", _check_index(self.host_index))
-        for d in (self.distance_to_upper_stack, self.distance_to_lower_stack):
-            if not np.isfinite(d) or d < 0:
-                raise InvalidInput(f"stack distances must be >= 0, got {d}")
+        for name in ("distance_to_upper_stack", "distance_to_lower_stack"):
+            number(getattr(self, name), name, low=0.0)
 
 
 @dataclass(frozen=True)
@@ -159,6 +144,13 @@ class EmissionGeometry:
                 raise UnsupportedInput("gain media (Im n < 0) are not supported")
         if host.imag < 0:
             raise UnsupportedInput("gain media (Im n < 0) are not supported")
+
+    def aperture(self, numerical_aperture, key="numerical_aperture"):
+        """``numerical_aperture`` checked to lie in (0, 1] and not above the
+        index of the medium the light leaves into, which no wider cone leaves."""
+        return number(
+            numerical_aperture, key, above=0.0, high=min(1.0, self.upper.exit_index.real)
+        )
 
 
 @dataclass
@@ -312,10 +304,10 @@ def emission_pattern(
     power_density is the per-bin average power per radian; summing
     density * bin width over the grid plus guided_power recovers total_power.
     """
-    if not (_MIN_RESOLUTION_DEG <= angular_resolution <= 0.5):
+    number(angular_resolution, "angular_resolution", low=_MIN_RESOLUTION_DEG, high=0.5)
+    if type(include_guided_spike) is not bool:  # a flag: 0 and 1 are numbers, not flags
         raise InvalidInput(
-            f"angular_resolution must be in [{_MIN_RESOLUTION_DEG}, 0.5] degrees, "
-            f"got {angular_resolution}"
+            f"include_guided_spike must be true or false, got {include_guided_spike!r}"
         )
     fields = _CavityFields(geometry, None)
     total = float(fields.total_power())
@@ -369,7 +361,7 @@ def direct_collection_efficiency(
     already has it (``AngularPowerSpectrum.total_power``); otherwise it is
     integrated here.
     """
-    na = _check_numerical_aperture(numerical_aperture)
+    na = geometry.aperture(numerical_aperture)
     fields = _CavityFields(geometry, None)
     total = float(fields.total_power()) if total_power is None else total_power
     return float(fields.cone_power(na)) / total
@@ -385,7 +377,7 @@ def mirror_sweep_efficiencies(geometry: EmissionGeometry, swept, numerical_apert
     efficiencies, one per design}; each equals ``direct_collection_efficiency``
     of that design at that aperture.
     """
-    nas = [_check_numerical_aperture(na) for na in numerical_apertures]
+    nas = [geometry.aperture(na, "numerical_apertures") for na in numerical_apertures]
     fields = _CavityFields(geometry, swept)
     total = fields.total_power()
     return {na: fields.cone_power(na) / total for na in nas}
@@ -395,10 +387,8 @@ def analytic_no_cavity_efficiency(n, numerical_aperture):
     """Closed-form collection efficiency of a dipole below a bare high-index
     surface: normal-incidence Fresnel transmission times the in-plane dipole
     power within the internal escape cone."""
-    n = float(n)
-    if n <= 1.0:
-        raise InvalidInput(f"host index must exceed 1, got {n}")
-    na = _check_numerical_aperture(numerical_aperture)
+    number(n, "n", above=1.0)
+    na = number(numerical_aperture, "numerical_aperture", above=0.0, high=1.0)
     c = np.cos(np.arcsin(na / n))
     fresnel = 1.0 - ((n - 1.0) / (n + 1.0)) ** 2
     return fresnel * (0.5 - 0.375 * c - 0.125 * c ** 3)

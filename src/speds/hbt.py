@@ -14,13 +14,12 @@ zero-delay correlation of an ideal single-photon stream reduces exactly to
 ``g2_zero_closed_form``.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, number
 from .qd import EmissionRecord
 
 _NS_PER_S = 1e9
@@ -42,12 +41,9 @@ class DetectorPair:
     dead_time: float = 0.0  # ns per arm; 0 disables (not part of the default chain)
 
     def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise InvalidInput(f"efficiency must be in (0, 1], got {self.efficiency}")
+        number(self.efficiency, "efficiency", above=0.0, high=1.0)
         for name in ("dark_rate", "timing_jitter_sigma", "dead_time"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise InvalidInput(f"{name} must be finite and >= 0, got {v}")
+            number(getattr(self, name), name, low=0.0)
 
     @property
     def noise_rate_per_arm(self):
@@ -132,10 +128,10 @@ class CorrelationHistogram:
 def _correlation_bin_count(window, bin_width):
     """Bins of a +-``window`` histogram at ``bin_width``, checked against the
     contract bin_width <= window / 50 and against ``_MAX_CORRELATION_BINS``."""
-    if not (0.0 < window < np.inf and 0.0 < bin_width <= window / 50.0):
-        raise InvalidInput(
-            f"need finite 0 < bin_width <= window/50, got window={window}, bin={bin_width}"
-        )
+    number(window, "correlation.window", above=0.0)
+    number(bin_width, "correlation.bin_width", above=0.0)
+    if bin_width > window / 50.0:
+        raise InvalidInput(f"need bin_width <= window/50, got window={window}, bin={bin_width}")
     n_bins = np.round(2 * window / bin_width)
     if n_bins > _MAX_CORRELATION_BINS:
         raise InvalidInput(
@@ -162,8 +158,7 @@ def correlate(
     window are rejected before any is counted.
     """
     n_bins = _correlation_bin_count(window, bin_width)
-    if duration <= 0:
-        raise InvalidInput(f"duration must be > 0, got {duration}")
+    number(duration, "duration", above=0.0)
     a = np.asarray(clicks_a, dtype=float)
     b = np.asarray(clicks_b, dtype=float)
     edges = np.linspace(-window, window, n_bins + 1)
@@ -202,8 +197,7 @@ def g2_zero_closed_form(signal_rate, noise_rate):
         g2(0) = (2 N S + N^2) / (S + N)^2.
     """
     for name, v in (("signal_rate", signal_rate), ("noise_rate", noise_rate)):
-        if not np.isfinite(v) or v < 0:
-            raise InvalidInput(f"{name} must be finite and >= 0, got {v}")
+        number(v, name, low=0.0)
     total = signal_rate + noise_rate
     if total <= 0:
         raise InvalidInput("at least one of the rates must be positive")
@@ -239,14 +233,12 @@ def _peak_reach(window, bin_width, repetition_rate, m_far):
     """The highest peak order |m| whose window [(m - 1/2) P, (m + 1/2) P) lies
     within +-``window`` at the period P of ``repetition_rate`` (MHz).
 
-    Checks that ``m_far`` is an integer >= 1 (not a bool) within that reach
-    and that bins of ``bin_width`` ns are no wider than P; ``peak_area_analysis``
-    and the CLI share it, the CLI before the source is sampled.
+    Checks that ``m_far`` is an integer >= 1 within that reach and that bins
+    of ``bin_width`` ns are no wider than P; ``peak_area_analysis`` and the
+    CLI share it, the CLI before the source is sampled.
     """
-    if not 0.0 < repetition_rate < np.inf:
-        raise InvalidInput(f"repetition rate must be finite and > 0, got {repetition_rate}")
-    if isinstance(m_far, bool) or not isinstance(m_far, numbers.Integral) or m_far < 1:
-        raise InvalidInput(f"m_far must be an integer >= 1, got {m_far!r}")
+    number(repetition_rate, "repetition_rate", above=0.0)
+    number(m_far, "m_far", low=1, integer=True)
     period = 1e3 / repetition_rate
     if bin_width > period:
         raise InvalidInput(

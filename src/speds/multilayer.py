@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.scimath import sqrt as csqrt
 
-from .errors import InvalidInput
+from .errors import InvalidInput, number
 
 TE = "TE"
 TM = "TM"
@@ -29,15 +29,19 @@ TM = "TM"
 N_GAAS = 3.5
 N_ALAS = 2.95
 DESIGN_WAVELENGTH_NM = 900.0
+# Largest real or imaginary part of a refractive index.  No optical medium
+# comes near it (GaAs is 3.5, metals at 900 nm have |n| < 10), and far above
+# it (n k0)^2 overflows.
+MAX_INDEX = 100.0
 
 
 def _check_index(n):
-    n = complex(n)
-    if not (np.isfinite(n.real) and np.isfinite(n.imag)):
-        raise InvalidInput(f"refractive index must be finite, got {n}")
-    if n.real <= 0:
-        raise InvalidInput(f"refractive index must have Re > 0, got {n}")
-    return n
+    """A refractive index as a complex number: 0 < Re n <= ``MAX_INDEX``
+    and |Im n| <= ``MAX_INDEX``."""
+    real, imag = (n.real, n.imag) if isinstance(n, complex) else (n, 0.0)
+    number(real, "refractive_index", above=0.0, high=MAX_INDEX)
+    number(imag, "refractive_index (imaginary part)", low=-MAX_INDEX, high=MAX_INDEX)
+    return complex(real, imag)
 
 
 @dataclass(frozen=True)
@@ -48,10 +52,7 @@ class Layer:
     refractive_index: complex
 
     def __post_init__(self):
-        if not np.isfinite(self.thickness) or self.thickness <= 0:
-            raise InvalidInput(
-                f"layer thickness must be finite and positive, got {self.thickness}"
-            )
+        number(self.thickness, "thickness", above=0.0)
         n = _check_index(self.refractive_index)
         if n.imag < 0:
             raise InvalidInput(f"passive media only: Im(n) >= 0, got {n}")
@@ -105,8 +106,7 @@ def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts)
     The leading c layers of a stack are the same whatever follows them, so the
     running product up to layer c is shared by every cut at or after it.
     """
-    if not 0.0 < vacuum_wavelength < np.inf:
-        raise InvalidInput(f"wavelength must be finite and > 0, got {vacuum_wavelength}")
+    number(vacuum_wavelength, "vacuum_wavelength", above=0.0)
     if polarization not in (TE, TM):
         raise InvalidInput(f"polarization must be TE or TM, got {polarization!r}")
     kpar = np.asarray(kpar, dtype=complex)
@@ -216,14 +216,12 @@ def build_bragg(
     closed form R = [(1 - (n_exit/n_entry)(n_low/n_high)^(2N)) /
     (1 + (n_exit/n_entry)(n_low/n_high)^(2N))]^2 and grows monotonically with N.
     """
-    if int(periods) != periods or periods < 0:
-        raise InvalidInput(f"period count must be a nonnegative integer, got {periods}")
+    number(periods, "periods", low=0, integer=True)
     n_high = _check_index(n_high)
     n_low = _check_index(n_low)
-    if design_wavelength <= 0:
-        raise InvalidInput(f"design wavelength must be > 0, got {design_wavelength}")
+    number(design_wavelength, "design_wavelength", above=0.0)
     layers = []
-    for _ in range(int(periods)):
+    for _ in range(periods):
         layers.append(Layer(design_wavelength / (4.0 * n_low.real), n_low))
         layers.append(Layer(design_wavelength / (4.0 * n_high.real), n_high))
     return LayerStack(entry_index, tuple(layers), exit_index)

@@ -23,11 +23,11 @@ Gillespie's method one phase segment at a time, and the k-th period that
 starts in a state takes the next unused path of that state's pool.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, number
 
 LINE_X = "X"
 LINE_X2 = "X2"
@@ -44,17 +44,13 @@ SWEEP_FULL = "full_reset"
 _EMPTY, _X, _X2, _SHELVED = 0, 1, 2, 3
 
 _CYCLES = 1 << 14  # renewal cycles, and at most as many markers, per DC batch
+# Mean photons per DC renewal cycle, 1 + capture_rate * tau_x, at most: a
+# batch then holds about 1.6e7 photons at most.  The presets have at most 5.2.
+_MAX_CYCLE_PHOTONS = 1000
 _DECAY_BIN_PS = 50.0  # default decay-profile bin width
 _MAX_DECAY_BINS = 10**6  # decay-profile bins per drive period
 _LANES = 1 << 16  # one-period paths, at most, drawn together into a pulsed pool
 _FIRST_LANES = 1 << 10  # fewest paths drawn into a pulsed pool at once, as at first
-
-
-def _require_finite(obj):
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type is float and not np.isfinite(value):
-            raise InvalidInput(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -68,16 +64,11 @@ class QDModel:
     marker_rate: float = 0.0  # 1/ns, emitted while shelved (diagnostics only)
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.tau_x <= 0 or self.tau_x2 <= 0:
-            raise InvalidInput("radiative lifetimes must be > 0")
+        for name in ("tau_x", "tau_x2"):
+            number(getattr(self, name), name, above=0.0)
         for name in ("capture_rate", "unshelve_rate", "sweep_rate", "marker_rate"):
-            if getattr(self, name) < 0:
-                raise InvalidInput(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.shelve_probability <= 1.0:
-            raise InvalidInput(
-                f"shelve_probability must be in [0, 1], got {self.shelve_probability}"
-            )
+            number(getattr(self, name), name, low=0.0)
+        number(self.shelve_probability, "shelve_probability", low=0.0, high=1.0)
 
 
 @dataclass(frozen=True)
@@ -90,11 +81,13 @@ class DriveProgram:
     sweep_delay: float = 0.0  # ns between pulse end and sweep-out onset
 
     def __post_init__(self):
-        _require_finite(self)
+        for name in ("repetition_rate", "pulse_width", "duration"):
+            number(getattr(self, name), name, above=0.0)
+        number(self.sweep_delay, "sweep_delay", low=0.0)
         if self.mode not in (MODE_DC, MODE_PULSED):
             raise InvalidInput(f"mode must be DC or pulsed, got {self.mode!r}")
         if self.sweep_out_regime not in (SWEEP_NONE, SWEEP_ELECTRONS, SWEEP_FULL):
-            raise InvalidInput(f"unknown sweep-out regime {self.sweep_out_regime!r}")
+            raise InvalidInput(f"unknown sweep_out_regime {self.sweep_out_regime!r}")
         if self.mode == MODE_DC:  # sweep-out runs between pulses only
             for name, off in (("sweep_out_regime", SWEEP_NONE), ("sweep_delay", 0.0)):
                 if getattr(self, name) != off:
@@ -102,11 +95,7 @@ class DriveProgram:
                         f"a DC drive has no sweep-out: {name} must be {off!r}, "
                         f"got {getattr(self, name)!r}"
                     )
-        if self.duration <= 0:
-            raise InvalidInput("duration must be > 0")
         if self.mode == MODE_PULSED:
-            if self.repetition_rate <= 0 or self.pulse_width <= 0:
-                raise InvalidInput("pulsed mode needs repetition_rate > 0 and pulse_width > 0")
             if self.pulse_width * 1e-3 >= self.period:
                 raise InvalidInput(
                     f"pulse width {self.pulse_width} ps must be shorter than the "
@@ -117,9 +106,7 @@ class DriveProgram:
                     f"duration {self.duration} ns does not contain one full period "
                     f"({self.period:.3f} ns)"
                 )
-            if self.sweep_delay < 0 or (
-                self.pulse_width * 1e-3 + self.sweep_delay >= self.period
-            ):
+            if self.pulse_width * 1e-3 + self.sweep_delay >= self.period:
                 raise InvalidInput("sweep_delay must fit between pulse end and next pulse")
 
     @property
@@ -265,6 +252,11 @@ def _dc_record(segment, duration, rng):
         return EmissionRecord([], [], duration)
     dwell = state_dwell[_X:]  # mean dwell that ends in a photon, by line code
     p_loop = _branch_probability(segment, _X, _X2)
+    if (1.0 - p_loop) * _MAX_CYCLE_PHOTONS < 1.0:  # 1 / (1 - p_loop) photons per cycle
+        raise InvalidInput(
+            "tau_x is too long beside capture_rate: X decays only after about "
+            f"capture_rate * tau_x X2 photons, more than the cap of {_MAX_CYCLE_PHOTONS}"
+        )
     p_shelve = _branch_probability(segment, _X, _SHELVED) / (1.0 - p_loop)
     p_unshelve = _branch_probability(segment, _SHELVED, _EMPTY)
     x, x2, marker = range(len(LINES))
@@ -437,9 +429,7 @@ def _decay_bin_count(drive: DriveProgram, bin_ps):
     """Bins of ``bin_ps`` picoseconds per drive period, checked against the cap."""
     if drive.mode != MODE_PULSED:
         raise InvalidInput("decay_profile requires a pulsed drive")
-    bin_ns = bin_ps * 1e-3
-    if not bin_ns > 0:
-        raise InvalidInput(f"bin width must be > 0, got {bin_ps}")
+    bin_ns = number(bin_ps, "bin_ps", above=0.0) * 1e-3
     n_bins = max(np.ceil(drive.period / bin_ns), 1.0)
     if n_bins > _MAX_DECAY_BINS:
         raise InvalidInput(
@@ -483,15 +473,14 @@ def throughput_ratio(collection_gain, rate_gain, qe_factor):
         ("rate_gain", rate_gain),
         ("qe_factor", qe_factor),
     ):
-        if not np.isfinite(v) or v <= 0:
-            raise InvalidInput(f"{name} must be finite and > 0, got {v}")
+        number(v, name, above=0.0)
     return collection_gain * rate_gain * qe_factor
 
 
 def poisson_photon_record(rate_per_ns, duration_ns, seed) -> EmissionRecord:
     """Classical Poissonian reference source (laser-like) on the X line, for control runs."""
-    if not (0.0 <= rate_per_ns < np.inf and 0.0 < duration_ns < np.inf):
-        raise InvalidInput("rate must be finite and >= 0 and duration finite and > 0")
+    number(rate_per_ns, "rate_per_ns", low=0.0)
+    number(duration_ns, "duration", above=0.0)
     rng = np.random.default_rng(seed)
     n = rng.poisson(rate_per_ns * duration_ns)
     times = np.sort(rng.uniform(0.0, duration_ns, n))
@@ -502,10 +491,10 @@ def pulsed_poisson_record(
     repetition_rate_mhz, mean_photons_per_pulse, duration_ns, seed, jitter_ns=0.05
 ) -> EmissionRecord:
     """Pulsed classical source on the X line: Poisson photon number per pulse, Gaussian spread."""
-    if not (0.0 < repetition_rate_mhz < np.inf and 0.0 < duration_ns < np.inf):
-        raise InvalidInput("repetition rate and duration must be finite and > 0")
-    if not (0.0 <= mean_photons_per_pulse < np.inf and 0.0 <= jitter_ns < np.inf):
-        raise InvalidInput("mean photons per pulse and jitter must be finite and >= 0")
+    number(repetition_rate_mhz, "repetition_rate", above=0.0)
+    number(mean_photons_per_pulse, "mean_photons_per_pulse", low=0.0)
+    number(duration_ns, "duration", above=0.0)
+    number(jitter_ns, "jitter_ns", low=0.0)
     rng = np.random.default_rng(seed)
     period = 1e3 / repetition_rate_mhz
     n_pulses = int(duration_ns / period)

@@ -1,8 +1,11 @@
 import json
 import math
 import time
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speds import cli
 from speds.errors import InvalidInput, NumericalFailure
@@ -344,7 +347,9 @@ class TestExitCodes:
         elapsed = time.perf_counter() - start
         assert rc == 2
         assert elapsed < 0.1
-        assert "numerical aperture" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: numerical_aperture must be a finite number > 0 and <= 1, got 1.5\n"
+        )
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, [1, 2])
@@ -412,6 +417,153 @@ class TestExitCodes:
         path = write_config(tmp_path, config)
         rc = cli.main(["cross-corr", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("seed", [-1, [], True, 2.5, "7"], ids=repr)
+    def test_bad_seed_exits_2_before_any_work(self, tmp_path, capsys, no_sampling, seed):
+        path = write_config(tmp_path, {"seed": seed})
+        out = tmp_path / "out"
+        rc = cli.main(["hbt", "--preset", "dc_eq1", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: seed must be an integer >= 0, got {seed!r}\n"
+        )
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, no_sampling):
+        rc = cli.main(["hbt", "--preset", "dc_eq1", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+    def test_unreadable_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes('{"seed": 1, "note": "\u00e9"}'.encode("latin-1"))
+        for path in (tmp_path, not_utf8, tmp_path / "missing.json"):
+            rc = cli.main(["hbt", "--preset", "dc_eq1", "--config", str(path),
+                           "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
+
+    @pytest.mark.parametrize(
+        "preset,override,key",
+        [
+            ("fig10_full_reset", {"detectors": {"dark_rate": 1e300}}, "detectors.dark_rate"),
+            ("dc_eq1", {"noise_to_signal_ratio": None, "detectors": {"dark_rate": 1e18}},
+             "detectors.dark_rate"),
+        ],
+        ids=["fig10-dark-rate", "dc-dark-rate"],
+    )
+    def test_dark_counts_over_the_cap_exit_2_before_sampling(
+        self, tmp_path, capsys, no_sampling, preset, override, key
+    ):
+        path = write_config(tmp_path, override)
+        rc = cli.main(["hbt", "--preset", preset, "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "more than the cap" in err, err
+
+    def test_dark_counts_from_a_ratio_over_the_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the clicks were drawn")
+
+        monkeypatch.setattr(cli.hbt, "cross_correlate_lines", never)
+        path = write_config(tmp_path, {"noise_to_signal_ratio": 1e300})
+        rc = cli.main(["hbt", "--preset", "dc_eq1", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_to_signal_ratio 1e+300 ") and "more than the cap" in err
+
+    @pytest.mark.parametrize("preset", ["dc_eq1", "dc_g2_011", "cascade_x2_x",
+                                        "exclusion_x_marker"])
+    def test_x_that_never_decays_under_dc_exits_2(self, tmp_path, capsys, preset):
+        path = write_config(tmp_path, {"model": {"tau_x": 1e300}})
+        command = load_preset(preset)["command"]
+        rc = cli.main([command, "--preset", preset, "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: tau_x is too long beside capture_rate: X decays only after about "
+            "capture_rate * tau_x X2 photons, more than the cap of 1000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "preset,override,message",
+        [
+            ("homogeneous", {"homogeneous": {"refractive_index": 1e300}},
+             "refractive_index must be a finite number > 0 and <= 100, got 1e+300"),
+            ("homogeneous", {"homogeneous": {"refractive_index": 1e-300}},
+             "numerical_aperture must be a finite number > 0 and <= 1e-300, got 0.5"),
+            ("fig6b_cavity", {"pattern": {"include_guided_spike": math.inf}},
+             "include_guided_spike must be true or false, got inf"),
+            ("fig6b_cavity", {"pattern": {"include_guided_spike": "x"}},
+             "include_guided_spike must be true or false, got 'x'"),
+            ("fig6a_no_cavity", {"pattern": {"include_guided_spike": 1}},
+             "include_guided_spike must be true or false, got 1"),
+        ],
+        ids=["index-huge", "index-below-the-aperture", "spike-inf", "spike-string",
+             "spike-one"],
+    )
+    def test_bad_optics_inputs_exit_2_before_the_pattern(
+        self, tmp_path, capsys, monkeypatch, preset, override, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the pattern was computed")
+
+        monkeypatch.setattr(cli.dipole._CavityFields, "total_power", never)
+        path = write_config(tmp_path, override)
+        rc = cli.main(["emission-pattern", "--preset", preset, "--config", path,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def preset_leaves(block, path=()):
+    """The key paths of a config's values, nested blocks walked, ``command`` left out."""
+    for key, value in block.items():
+        if isinstance(value, dict):
+            yield from preset_leaves(value, path + (key,))
+        elif path + (key,) != ("command",):
+            yield path + (key,)
+
+
+def json_kind(value):
+    """A config value's JSON type, ints and floats both being numbers."""
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+FUZZ_VALUES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300, "x", [], {}, True)
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("preset", available_presets())
+    def test_one_bad_leaf_exits_0_2_or_3(self, tmp_path, capsys, preset):
+        """Any one leaf of a preset set to a bad value ends in exit 0, 2 or 3,
+        with no exception out of main; a value of the wrong JSON type exits 2
+        naming its key."""
+        config = load_preset(preset)
+        runs = count()
+
+        @settings(derandomize=True, max_examples=15, deadline=None, database=None)
+        @given(st.sampled_from(list(preset_leaves(config))), st.sampled_from(FUZZ_VALUES))
+        def run(path, value):
+            block = override = {}
+            for key in path[:-1]:
+                block = block.setdefault(key, {})
+            block[path[-1]] = value
+            original = config
+            for key in path:
+                original = original[key]
+            run_dir = tmp_path / str(next(runs))
+            rc = cli.main([config["command"], "--preset", preset,
+                           "--config", write_config(tmp_path, override),
+                           "--out", str(run_dir)])
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3), err
+            if json_kind(value) != json_kind(original):
+                assert rc == 2 and path[-1] in err, (path, value, err)
+
+        run()
 
 
 class TestConfigMerge:

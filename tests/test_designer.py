@@ -83,7 +83,7 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "max_periods,nas,key",
         [(12.5, [0.5], "max_periods"), (12, [], "numerical_apertures"),
-         (12, [0.5, 1.5], "numerical aperture"), (MAX_MIRROR_PERIODS + 1, [0.5], "max_periods")],
+         (12, [0.5, 1.5], "numerical_apertures"), (MAX_MIRROR_PERIODS + 1, [0.5], "max_periods")],
     )
     def test_bottom_sweep_rejects_bad_inputs_before_any_design(
         self, no_design, max_periods, nas, key
@@ -95,7 +95,7 @@ class TestSweeps:
         "bottom_periods,max_top,na,key",
         [(12, 2.5, 0.5, "max_top"), (12, "3", 0.5, "max_top"), (12, -1, 0.5, "max_top"),
          (12, MAX_MIRROR_PERIODS + 1, 0.5, "max_top"), (True, 10, 0.5, "bottom_periods"),
-         (MAX_MIRROR_PERIODS + 1, 10, 0.5, "bottom_periods"), (12, 10, 1.5, "numerical aperture")],
+         (MAX_MIRROR_PERIODS + 1, 10, 0.5, "bottom_periods"), (12, 10, 1.5, "numerical_aperture")],
     )
     def test_top_study_rejects_bad_inputs_before_any_design(
         self, no_design, bottom_periods, max_top, na, key
