@@ -27,6 +27,11 @@ TOP_MIRROR_PRESET = "top_mirror_geometry"
 # about 1.4e-15 and 1 - R about 6e-15, a few rounding steps from R = 1, so a
 # longer mirror changes nothing but the work.
 MAX_MIRROR_PERIODS = 100
+# Longest cavity, in design wavelengths.  The paper's cavities are of order
+# 1-3.  On the fig6b_cavity geometry the k-parallel quadrature resolves the
+# cavity's dense mode comb up to order 1e4, and from 1e5 on it fails after
+# spending its whole panel budget; 1000 keeps a tenfold margin.
+MAX_CAVITY_ORDER = 1000.0
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class CavityDesign:
     def __post_init__(self):
         for name in ("bottom_periods", "top_periods"):
             number(getattr(self, name), name, low=0, high=MAX_MIRROR_PERIODS, integer=True)
-        number(self.cavity_order, "cavity_order", above=0.0)
+        number(self.cavity_order, "cavity_order", above=0.0, high=MAX_CAVITY_ORDER)
         if (2.0 * self.cavity_order) % 1.0 != 0:
             raise InvalidInput(
                 f"cavity order must be a positive multiple of 0.5, got {self.cavity_order}"
@@ -135,6 +140,12 @@ def sweep_bottom_mirror(max_periods=25, numerical_apertures: Sequence[float] = (
     nas = [
         number(na, "numerical_apertures", above=0.0, high=1.0) for na in numerical_apertures
     ]
+    # each aperture's file and summary entry is named by its :g form
+    if len({f"{na:g}" for na in nas}) < len(nas):
+        raise InvalidInput(
+            "numerical_apertures must differ in their first 6 significant digits, "
+            f"got {numerical_apertures!r}"
+        )
     periods = list(range(max_periods + 1))
     geometry = geometry_for(fig5_design(max_periods))
     etas = mirror_sweep_efficiencies(geometry, "lower", nas)

@@ -116,21 +116,24 @@ def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts)
         indices.append(layer.refractive_index + 1j * im_reg)
     # A Bragg stack repeats two indices: one kz array per distinct medium.
     kz = {n: kz_normal(n, k0, kpar) for n in set(indices) | {stack.exit_index}}
+    # ... and repeats each (interface, layer) step every period: one matrix
+    # I(n1, n2) . P per distinct step.
+    steps = {}
 
     def step(m, n1, n2, thickness):
         # M <- M . I(n1, n2) . P, P the propagation through the n2 layer of
         # this thickness (none for the exit interface, thickness None)
-        r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
-        if thickness is None:
-            pf = pb = 1.0
-        else:
-            delta = kz[n2] * thickness
-            pf = np.exp(-1j * delta)
-            pb = np.exp(+1j * delta)
-        a00 = pf / t
-        a01 = pb * r / t
-        a10 = pf * r / t
-        a11 = pb / t
+        key = (n1, n2, thickness)
+        if key not in steps:
+            r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
+            if thickness is None:
+                pf = pb = 1.0
+            else:
+                delta = kz[n2] * thickness
+                pf = np.exp(-1j * delta)
+                pb = np.exp(+1j * delta)
+            steps[key] = (pf / t, pb * r / t, pf * r / t, pb / t)
+        a00, a01, a10, a11 = steps[key]
         m00, m01, m10, m11 = m
         return (
             m00 * a00 + m01 * a10,

@@ -137,12 +137,14 @@ class TestExitCodes:
             ("cavity-sweep", "top_mirror_study", {"bottom_periods": True}),
             ("emission-pattern", "fig6b_cavity", {"design": {"bottom_periods": 100000}}),
             ("emission-pattern", "fig6b_cavity", {"homogeneous": {"refractive_index": 1.0}}),
+            ("cavity-sweep", "fig5_sweep", {"numerical_apertures": [0.5, 0.5000001]}),
         ],
         ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
              "dc-rate-nan", "dc-duration-inf", "detectors-not-a-block", "window-inf", "bin-width-nan", "resolution-nan",
              "resolution-tiny", "aperture-string", "no-apertures", "fractional-periods",
              "bottom-sweep-cap", "top-sweep-cap", "top-fractional", "top-string",
-             "bottom-periods-bool", "design-periods-cap", "design-and-homogeneous"],
+             "bottom-periods-bool", "design-periods-cap", "design-and-homogeneous",
+             "apertures-alike"],
     )
     def test_bad_numbers_in_preset_blocks_exit_2(self, tmp_path, capsys, command, preset, override):
         path = write_config(tmp_path, override)
@@ -349,6 +351,20 @@ class TestExitCodes:
         assert elapsed < 0.1
         assert capsys.readouterr().err == (
             "error: numerical_aperture must be a finite number > 0 and <= 1, got 1.5\n"
+        )
+
+    def test_huge_cavity_order_exits_2_before_any_stack(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a stack was evaluated")
+
+        monkeypatch.setattr(cli.dipole, "stack_rt", never)
+        monkeypatch.setattr(cli.dipole, "bragg_prefix_rt", never)
+        path = write_config(tmp_path, {"design": {"cavity_order": 1e300}})
+        rc = cli.main(["emission-pattern", "--preset", "fig6b_cavity", "--config", path,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: cavity_order must be a finite number > 0 and <= 1000, got 1e+300\n"
         )
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):

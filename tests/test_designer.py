@@ -5,6 +5,7 @@ import pytest
 
 from speds import cli, designer
 from speds.designer import (
+    MAX_CAVITY_ORDER,
     MAX_MIRROR_PERIODS,
     CavityDesign,
     SweepResult,
@@ -63,6 +64,12 @@ class TestCavityDesign:
             with pytest.raises(InvalidInput, match=field):
                 CavityDesign(**dict(periods, **{field: bad}))
 
+    def test_cavity_order_cap(self):
+        CavityDesign(bottom_periods=12, cavity_order=MAX_CAVITY_ORDER)
+        for bad in (MAX_CAVITY_ORDER + 0.5, 1e300):
+            with pytest.raises(InvalidInput, match="cavity_order"):
+                CavityDesign(bottom_periods=12, cavity_order=bad)
+
 
 @pytest.fixture
 def no_design(monkeypatch):
@@ -83,7 +90,9 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "max_periods,nas,key",
         [(12.5, [0.5], "max_periods"), (12, [], "numerical_apertures"),
-         (12, [0.5, 1.5], "numerical_apertures"), (MAX_MIRROR_PERIODS + 1, [0.5], "max_periods")],
+         (12, [0.5, 1.5], "numerical_apertures"), (MAX_MIRROR_PERIODS + 1, [0.5], "max_periods"),
+         # apertures name their results by their :g forms
+         (12, [0.5, 0.5], "numerical_apertures"), (12, [0.3, 0.5, 0.5000001], "numerical_apertures")],
     )
     def test_bottom_sweep_rejects_bad_inputs_before_any_design(
         self, no_design, max_periods, nas, key

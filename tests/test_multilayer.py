@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dbr_reflectance
+from oracles import dbr_reflectance, solve_stack, stack_flux
 from speds.errors import InvalidInput
 from speds.multilayer import (
     DESIGN_WAVELENGTH_NM,
@@ -168,6 +168,55 @@ class TestBraggPrefix:
         stack = LayerStack(N_GAAS, (Layer(50.0, N_ALAS),), N_GAAS)
         with pytest.raises(InvalidInput, match="two layers a period"):
             bragg_prefix_rt(stack, LAM, 0.0, TE, 0.0)
+
+
+class TestNonPeriodicStacks:
+    """``stack_rt`` and ``power_transmittance`` of stacks that repeat an index
+    pair without its thickness, or a thickness with other indices, against the
+    boundary-condition oracle: every step that shares only part of its
+    (n1, n2, thickness) with another must still be built for its own."""
+
+    STACKS = {
+        # 2.0 -> 3.5 and 3.5 -> 2.0 each twice, every time into another thickness
+        "pair-two-thicknesses": LayerStack(
+            1.0, (Layer(120.0, 2.0), Layer(90.0, 3.5), Layer(200.0, 2.0),
+                  Layer(150.0, 3.5), Layer(60.0, 2.0)), 1.5),
+        # 100 nm of four media; 2.0 -> 3.5 and 1.5 -> 3.5 enter the same layer
+        "thickness-two-indices": LayerStack(
+            1.0, (Layer(100.0, 2.0), Layer(100.0, 3.5), Layer(100.0, 1.5),
+                  Layer(100.0, 3.5)), 1.0),
+        # an absorbing layer, twice, between equal spacers
+        "absorbing": LayerStack(
+            1.0, (Layer(80.0, 2.0), Layer(30.0, 3.5 + 0.4j), Layer(80.0, 2.0),
+                  Layer(45.0, 3.5 + 0.4j)), N_GAAS),
+    }
+    # propagating in the entry (air) and exit media, 5 to 80 degrees in air
+    KPAR = 2.0 * np.pi / LAM * np.sin(np.radians(np.linspace(5.0, 80.0, 16)))
+
+    @staticmethod
+    def oracle_medium(stack, im_reg=0.0):
+        indices = [stack.entry_index]
+        indices += [layer.refractive_index + 1j * im_reg for layer in stack.layers]
+        thicknesses = [layer.thickness for layer in stack.layers]
+        return indices + [stack.exit_index], thicknesses
+
+    @pytest.mark.parametrize("pol", [TE, TM])
+    @pytest.mark.parametrize("im_reg", [0.0, 1e-3])
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_reflection_matches_oracle(self, name, im_reg, pol):
+        stack = self.STACKS[name]
+        r, _ = stack_rt(stack, LAM, self.KPAR, pol, im_reg)
+        _, down, _ = solve_stack(*self.oracle_medium(stack, im_reg), LAM, self.KPAR, pol)
+        np.testing.assert_allclose(r, down[:, 0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pol", [TE, TM])
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_transmittance_matches_oracle(self, name, pol):
+        stack = self.STACKS[name]
+        _, expected = stack_flux(*self.oracle_medium(stack), LAM, self.KPAR, pol)
+        np.testing.assert_allclose(
+            power_transmittance(stack, LAM, self.KPAR, pol), expected, rtol=1e-12, atol=0
+        )
 
 
 class TestValidation:
