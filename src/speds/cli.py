@@ -166,12 +166,11 @@ def _poisson_dc_source(config):
 
 def _poisson_pulsed_source(config):
     p = config["poisson"]
-    jitter = {"jitter_ns": p["jitter_ns"]} if "jitter_ns" in p else {}
     args = [number(p[k], f"poisson.{k}")
             for k in ("repetition_rate", "mean_photons_per_pulse", "duration")]
     pulses = args[0] * 1e-3 * args[2]  # one Poisson draw per pulse, then its photons
     _check_work(pulses * (1.0 + args[1]), "poisson.duration", args[2])
-    return partial(qd.pulsed_poisson_record, *args, **jitter), args[2], args[0], None
+    return partial(qd.pulsed_poisson_record, *args), args[2], args[0], None
 
 
 # Each photon source's builder and the config keys it reads beside the
@@ -184,7 +183,7 @@ _SOURCES = {
     "qd": (_qd_source, {"model": qd.QDModel, "drive": qd.DriveProgram}),
     "poisson_dc": (_poisson_dc_source, {"poisson": _leaves(("rate_per_ns", "duration"))}),
     "poisson_pulsed": (_poisson_pulsed_source, {"poisson": _leaves(
-        ("repetition_rate", "mean_photons_per_pulse", "duration", "jitter_ns"))}),
+        ("repetition_rate", "mean_photons_per_pulse", "duration"))}),
 }
 
 

@@ -17,6 +17,7 @@ orientations.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,16 +33,16 @@ _DENOM_FLOOR = 1e-3
 _CONTOUR_DEPTH = 0.12
 # Gauss-Legendre order within each emission-pattern bin.
 _BIN_ORDER = 12
+# adaptive_integral: Gauss-Legendre order per panel, panels at first, panel
+# doublings at most, and the relative change between doublings that converges.
+_PANEL_ORDER = 24
+_MIN_PANELS = 8
+_MAX_DOUBLINGS = 8
+_REL_TOL = 1e-6
 # Finest emission-pattern bin, in degrees: at most 18,001 bins over 0-180 degrees.
 _MIN_RESOLUTION_DEG = 0.01
 
-_GL_CACHE = {}
-
-
-def _gauss_nodes(order):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+_gauss_nodes = cache(np.polynomial.legendre.leggauss)
 
 
 def _panel_integrals(f, edges, order):
@@ -60,7 +61,7 @@ def _panel_integrals(f, edges, order):
     return np.sum(vals * w, axis=-1) * half
 
 
-def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, order=24):
+def adaptive_integral(f, a, b):
     """Composite Gauss-Legendre with panel doubling until converged.
 
     If ``f`` returns one row per design (designs x nodes), every design is
@@ -69,21 +70,21 @@ def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, orde
     """
 
     def integrate(panels):
-        per_panel = _panel_integrals(f, np.linspace(a, b, panels + 1), order)
+        per_panel = _panel_integrals(f, np.linspace(a, b, panels + 1), _PANEL_ORDER)
         # each design's panels summed as one contiguous row, as for one design
         sums = np.array([np.sum(row) for row in np.atleast_2d(per_panel)])
         return sums, per_panel.ndim > 1
 
-    panels = min_panels
+    panels = _MIN_PANELS
     prev, batched = integrate(panels)
     result = np.empty_like(prev)
     open_ = np.ones(prev.shape, dtype=bool)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         panels *= 2
         cur, _ = integrate(panels)
         scale = np.maximum(np.abs(cur), 1e-12)
         change = np.abs(cur - prev)
-        done = open_ & (change <= rel_tol * scale)
+        done = open_ & (change <= _REL_TOL * scale)
         result[done] = cur[done]
         open_ &= ~done
         if not open_.any():
@@ -93,7 +94,7 @@ def adaptive_integral(f, a, b, rel_tol=1e-6, min_panels=8, max_doublings=8, orde
     raise NumericalFailure(
         f"k-parallel quadrature did not converge on [{a}, {b}]: "
         f"{panels} panels, last change {change[i]:.3e} vs "
-        f"tolerance {rel_tol:.1e} * {scale[i]:.3e}"
+        f"tolerance {_REL_TOL:.1e} * {scale[i]:.3e}"
         + (f" (design {i})" if batched else "")
     )
 

@@ -51,6 +51,7 @@ _DECAY_BIN_PS = 50.0  # default decay-profile bin width
 _MAX_DECAY_BINS = 10**6  # decay-profile bins per drive period
 _LANES = 1 << 16  # one-period paths, at most, drawn together into a pulsed pool
 _FIRST_LANES = 1 << 10  # fewest paths drawn into a pulsed pool at once, as at first
+_POISSON_JITTER_NS = 0.05  # Gaussian spread of a pulsed Poisson photon after its pulse
 
 
 @dataclass(frozen=True)
@@ -377,32 +378,27 @@ def _pooled_record(segments, drive, rng):
         size[s] += lanes
         drawn[s].append((counts, times, codes))
 
-    used, path = [0] * n_states, []  # path: the state of each run, in walk order
+    used, path, lens = [0] * n_states, [], []  # each run's state and length, in walk order
     k, s = 0, _EMPTY
     while k < n:
         i = used[s]
-        try:
-            step = run_len[s][i]
-        except IndexError:  # every run drawn for s is used
+        if i < len(run_len[s]):
+            step, to = run_len[s][i], leave_to[s][i]
+        else:  # every run drawn for s is used
             loops = size[s] - 1 - last_leave[s]  # self-loops after the last run
-            if loops >= n - k:  # the walk ends inside them, one last run of s
-                run_len[s].append(n - k)
-                used[s] = i + 1
-                path.append(s)
-                break
-            # s's visits still to come at its visit rate so far, with 10 % to spare
-            seen = 1.1 * (n - k) * size[s] / max(k, 1)
-            grow(s, int(min(_LANES, n - k - loops, max(_FIRST_LANES, seen))))
-            continue
+            if loops < n - k:
+                # s's visits still to come at its visit rate so far, with 10 % to spare
+                seen = 1.1 * (n - k) * size[s] / max(k, 1)
+                grow(s, int(min(_LANES, n - k - loops, max(_FIRST_LANES, seen))))
+                continue
+            step, to = n - k, s  # the walk ends inside them, one last run of s
         path.append(s)
+        lens.append(step)
         used[s] = i + 1
         k += step
-        s = leave_to[s][i]
+        s = to
 
-    path = np.array(path, dtype=np.int8)
-    lens = np.empty(path.size, dtype=np.int64)
-    for state in range(n_states):
-        lens[path == state] = run_len[state][: used[state]]
+    path, lens = np.array(path, dtype=np.int8), np.array(lens, dtype=np.int64)
     first = np.cumsum(lens) - lens  # each run's first period
     parts = []
     for state in range(n_states):
@@ -467,14 +463,16 @@ def fit_decay_time(centers, counts, t_start, t_stop):
 
 
 def throughput_ratio(collection_gain, rate_gain, qe_factor):
-    """Photon-throughput improvement: product of the three factors."""
+    """Photon-throughput improvement: product of the three factors, itself
+    checked to be a finite number > 0."""
     for name, v in (
         ("collection_gain", collection_gain),
         ("rate_gain", rate_gain),
         ("qe_factor", qe_factor),
     ):
         number(v, name, above=0.0)
-    return collection_gain * rate_gain * qe_factor
+    product = collection_gain * rate_gain * qe_factor
+    return number(product, "collection_gain * rate_gain * qe_factor", above=0.0)
 
 
 def poisson_photon_record(rate_per_ns, duration_ns, seed) -> EmissionRecord:
@@ -488,17 +486,16 @@ def poisson_photon_record(rate_per_ns, duration_ns, seed) -> EmissionRecord:
 
 
 def pulsed_poisson_record(
-    repetition_rate_mhz, mean_photons_per_pulse, duration_ns, seed, jitter_ns=0.05
+    repetition_rate_mhz, mean_photons_per_pulse, duration_ns, seed
 ) -> EmissionRecord:
     """Pulsed classical source on the X line: Poisson photon number per pulse, Gaussian spread."""
     number(repetition_rate_mhz, "repetition_rate", above=0.0)
     number(mean_photons_per_pulse, "mean_photons_per_pulse", low=0.0)
     number(duration_ns, "duration", above=0.0)
-    number(jitter_ns, "jitter_ns", low=0.0)
     rng = np.random.default_rng(seed)
     period = 1e3 / repetition_rate_mhz
     n_pulses = int(duration_ns / period)
     pulse = np.repeat(np.arange(n_pulses), rng.poisson(mean_photons_per_pulse, n_pulses))
-    times = pulse * period + np.abs(rng.normal(0.0, jitter_ns, pulse.size))
+    times = pulse * period + np.abs(rng.normal(0.0, _POISSON_JITTER_NS, pulse.size))
     times = np.sort(times[times < duration_ns])
     return EmissionRecord(times, np.full(times.size, LINES.index(LINE_X)), duration_ns)

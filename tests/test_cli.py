@@ -117,7 +117,6 @@ class TestExitCodes:
         [
             ("hbt", "laser_80mhz", {"poisson": {"repetition_rate": 0.0}}),
             ("hbt", "laser_80mhz", {"poisson": {"repetition_rate": math.nan}}),
-            ("hbt", "laser_80mhz", {"poisson": {"jitter_ns": -1.0}}),
             ("hbt", "laser_80mhz", {"poisson": {"mean_photons_per_pulse": -0.3}}),
             ("hbt", "laser_80mhz", {"poisson": {"duration": math.inf}}),
             ("hbt", None, poisson_dc_config(rate_per_ns=math.nan)),
@@ -139,7 +138,7 @@ class TestExitCodes:
             ("emission-pattern", "fig6b_cavity", {"homogeneous": {"refractive_index": 1.0}}),
             ("cavity-sweep", "fig5_sweep", {"numerical_apertures": [0.5, 0.5000001]}),
         ],
-        ids=["rep-rate-0", "rep-rate-nan", "jitter-negative", "mean-negative", "pulsed-duration-inf",
+        ids=["rep-rate-0", "rep-rate-nan", "mean-negative", "pulsed-duration-inf",
              "dc-rate-nan", "dc-duration-inf", "detectors-not-a-block", "window-inf", "bin-width-nan", "resolution-nan",
              "resolution-tiny", "aperture-string", "no-apertures", "fractional-periods",
              "bottom-sweep-cap", "top-sweep-cap", "top-fractional", "top-string",
@@ -193,9 +192,10 @@ class TestExitCodes:
              "detectors.background_rate"),
             ("hbt", "dc_eq1", {"detectors": {"splitter_ratio": 0.3}}, "detectors.splitter_ratio"),
             ("hbt", "ghz_ideal", {"poisson": {"rate_per_ns": 3.0}}, "poisson"),
+            ("hbt", "laser_80mhz", {"poisson": {"jitter_ns": -1.0}}, "poisson.jitter_ns"),
         ],
         ids=["design-aperture", "homogeneous-wavelength", "rate-from-mhz", "background-rate",
-             "splitter-ratio", "poisson-keys-on-qd-source"],
+             "splitter-ratio", "poisson-keys-on-qd-source", "jitter-ns"],
     )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, command, preset, override, key):
         path = write_config(tmp_path, override)
@@ -335,6 +335,18 @@ class TestExitCodes:
         out = tmp_path / "out"
         rc = cli.main(["hbt", "--preset", preset, "--config", path, "--out", str(out)])
         assert rc == 2
+        assert list(out.iterdir()) == []
+
+    def test_throughput_product_that_overflows_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"factors": {"collection_gain": 1e300, "rate_gain": 1e300}})
+        out = tmp_path / "out"
+        rc = cli.main(["throughput", "--preset", "throughput_ghz", "--config", path,
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: collection_gain * rate_gain * qe_factor must be a finite number > 0, "
+            "got inf\n"
+        )
         assert list(out.iterdir()) == []
 
     def test_bad_numerical_aperture_fails_fast(self, tmp_path, capsys, monkeypatch):

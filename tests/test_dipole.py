@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from speds import dipole
 from speds.designer import fig5_design, geometry_for
 from speds.dipole import (
     AngularPowerSpectrum,
@@ -40,8 +41,9 @@ class TestAdaptiveIntegral:
         val = adaptive_integral(lambda x: 3.0 * x**2, 0.0, 2.0)
         assert val == pytest.approx(8.0, rel=1e-12)
 
-    def test_oscillatory(self):
-        val = adaptive_integral(lambda x: np.sin(40.0 * x), 0.0, 1.0, rel_tol=1e-9)
+    def test_oscillatory(self, monkeypatch):
+        monkeypatch.setattr(dipole, "_REL_TOL", 1e-9)
+        val = adaptive_integral(lambda x: np.sin(40.0 * x), 0.0, 1.0)
         expected = (1.0 - np.cos(40.0)) / 40.0
         assert val == pytest.approx(expected, rel=1e-8)
 
@@ -59,13 +61,12 @@ class TestAdaptiveIntegral:
         with pytest.raises(NumericalFailure, match="design 1"):
             adaptive_integral(lambda x: np.sin(a[:, None] * x), 0.0, 1.0)
 
-    def test_failure_reports_diagnostics(self):
+    def test_failure_reports_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(dipole, "_REL_TOL", 1e-12)
+        monkeypatch.setattr(dipole, "_MAX_DOUBLINGS", 3)
         rng = np.random.default_rng(0)
         with pytest.raises(NumericalFailure, match="panels"):
-            adaptive_integral(
-                lambda x: rng.standard_normal(np.shape(x)), 0.0, 1.0, rel_tol=1e-12,
-                max_doublings=3,
-            )
+            adaptive_integral(lambda x: rng.standard_normal(np.shape(x)), 0.0, 1.0)
 
 
 class TestHomogeneous:
@@ -143,18 +144,16 @@ class TestGuidedSpike:
 
 
 class TestPatternBins:
-    def test_bin_straddling_90_degrees_sums_both_half_spaces(self):
+    def test_bin_straddling_90_degrees_sums_both_half_spaces(self, monkeypatch):
         geom = geometry_for(fig5_design(12))
         spec = emission_pattern(geom, angular_resolution=0.25)
         i90 = int(np.argmin(np.abs(spec.theta_grid - 90.0)))
         lo, hi = np.radians([89.875, 90.125])
         fields = _CavityFields(geom, None)
-        top = adaptive_integral(
-            lambda th: fields.escape_density(th, "top"), lo, 0.5 * np.pi, rel_tol=1e-12
-        )
+        monkeypatch.setattr(dipole, "_REL_TOL", 1e-12)
+        top = adaptive_integral(lambda th: fields.escape_density(th, "top"), lo, 0.5 * np.pi)
         bottom = adaptive_integral(
-            lambda th: fields.escape_density(np.pi - th, "bottom"), 0.5 * np.pi, hi,
-            rel_tol=1e-12,
+            lambda th: fields.escape_density(np.pi - th, "bottom"), 0.5 * np.pi, hi
         )
         assert top > 0 and bottom > 0
         assert spec.power_density[i90] * (hi - lo) == pytest.approx(top + bottom, rel=1e-10)
