@@ -252,7 +252,7 @@ def _detection(config, key, lines, duration):
     _check_work(dark_counts, "detectors.dark_rate", detectors.dark_rate)
     ratio = _noise_ratio(config, detectors.dark_rate)
     corr_cfg = config["correlation"]
-    hbt._correlation_bin_count(corr_cfg["window"], corr_cfg["bin_width"])
+    hbt._correlation_edges(corr_cfg["window"], corr_cfg["bin_width"])
     return detectors, ratio
 
 
@@ -296,9 +296,8 @@ def cmd_hbt(config, seed):
                 "analysis.m_far needs a pulsed source: peak areas are read at its repetition rate"
             )
         corr_cfg = config["correlation"]
-        hbt._peak_reach(
-            corr_cfg["window"], corr_cfg["bin_width"], repetition_rate, analysis["m_far"]
-        )
+        edges = hbt._correlation_edges(corr_cfg["window"], corr_cfg["bin_width"])
+        hbt._peak_reach(edges, repetition_rate, analysis["m_far"])
     if "decay_fit" in analysis:
         if drive is None:
             raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
@@ -319,7 +318,7 @@ def cmd_hbt(config, seed):
         "n_clicks_a": int(hist.n_a),
         "n_clicks_b": int(hist.n_b),
         **rates,
-        "g2_zero_measured": hist.g2_at(0.0),
+        "g2_zero_measured": hist.g2_zero(),
         "g2_zero_eq1_prediction": hbt.g2_zero_closed_form(
             rates["signal_rate_per_ns"], rates["noise_rate_per_ns"]
         ),
@@ -347,15 +346,15 @@ def cmd_cross_corr(config, seed):
     sample, duration, _, _ = _source_from_config(config)
     detection = _detection(config, "lines", lines, duration)
     _, hist, _ = _correlated(config, seed, sample, lines, *detection)
-    g2 = hist.g2()
-    pos = hist.tau_centers > 0
+    g2, n = hist.g2(), hist.counts.size
+    # the halves either side of tau = 0; the centred bin of an odd n is in neither
     summary = {
         "lines": list(lines),
         "n_clicks_a": int(hist.n_a),
         "n_clicks_b": int(hist.n_b),
-        "g2_max_positive_tau": float(np.max(g2[pos])),
-        "g2_min_negative_tau": float(np.min(g2[~pos])),
-        "g2_zero": hist.g2_at(0.0),
+        "g2_max_positive_tau": float(np.max(g2[(n + 1) // 2:])),
+        "g2_min_negative_tau": float(np.min(g2[:n // 2])),
+        "g2_zero": hist.g2_zero(),
     }
     text = f"cross-correlation {lines[0]} -> {lines[1]}: g2(0) = {summary['g2_zero']:.4f}"
     return summary, {"histogram.csv": hist}, text
@@ -416,14 +415,23 @@ def _build_parser():
 
 
 class _Block(dict):
-    """A config block that names a missing key by its dotted path."""
+    """A config block that names a missing key by its dotted path.  It is
+    copied key by key, and the first key, at any nesting level, that the
+    command does not read (``known``) is rejected, as is a block that is not
+    a JSON object."""
 
-    def __init__(self, items, path=""):
-        super().__init__(
-            (key, _Block(value, f"{path}{key}.") if isinstance(value, dict) else value)
-            for key, value in items.items()
-        )
+    def __init__(self, items, known, path=""):
+        super().__init__()
         self.path = path
+        for key, value in items.items():
+            if key not in known:
+                raise InvalidInput(f"unknown config key {path}{key}")
+            sub = known[key]
+            if is_dataclass(sub):
+                sub = _leaves(f.name for f in fields(sub))
+            if sub is not None and not isinstance(value, dict):
+                raise InvalidInput(f"config key {path}{key} must be a JSON object, got {value!r}")
+            self[key] = value if sub is None else _Block(value, sub, f"{path}{key}.")
 
     def __missing__(self, key):
         raise InvalidInput(f"missing config key {self.path}{key}")
@@ -437,22 +445,6 @@ def _merged(base, overrides):
             value = _merged(merged[key], value)
         merged[key] = value
     return merged
-
-
-def _check_keys(block, known, path=""):
-    """Reject the first key, at any nesting level, that the command does not
-    read, and a block that is not a JSON object."""
-    for key, value in block.items():
-        if key not in known:
-            raise InvalidInput(f"unknown config key {path}{key}")
-        sub = known[key]
-        if sub is None:
-            continue
-        if not isinstance(value, dict):
-            raise InvalidInput(f"config key {path}{key} must be a JSON object, got {value!r}")
-        if is_dataclass(sub):
-            sub = _leaves(f.name for f in fields(sub))
-        _check_keys(value, sub, f"{path}{key}.")
 
 
 def _load_config(args):
@@ -481,8 +473,7 @@ def _load_config(args):
     keys = _COMMANDS[args.command][1]
     if callable(keys):
         keys = keys(config)
-    _check_keys(config, {"command": None, "seed": None, **keys})
-    return _Block(config)
+    return _Block(config, {"command": None, "seed": None, **keys})
 
 
 def main(argv=None):

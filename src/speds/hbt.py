@@ -94,13 +94,21 @@ def detect(
 
 @dataclass
 class CorrelationHistogram:
-    tau_centers: np.ndarray  # ns, signed delays t_b - t_a
+    edges: np.ndarray  # ns, of the signed delays t_b - t_a, as ``_correlation_edges`` lays them
     counts: np.ndarray
     n_a: int
     n_b: int
     duration: float
-    bin_width: float  # ns, as laid out (2 * window over a whole number of bins)
     source_lines: Tuple[Optional[str], Optional[str]] = (None, None)
+
+    @property
+    def tau_centers(self):
+        return 0.5 * (self.edges[1:] + self.edges[:-1])
+
+    @property
+    def bin_width(self):
+        """ns: 2 * window over the whole number of bins."""
+        return _bin_width(self.edges)
 
     def g2(self):
         """Histogram normalized so an uncorrelated (Poissonian) pair gives 1."""
@@ -109,9 +117,9 @@ class CorrelationHistogram:
         expected = self.n_a * self.n_b * self.bin_width / self.duration
         return self.counts / expected
 
-    def g2_at(self, tau):
-        idx = int(np.argmin(np.abs(self.tau_centers - tau)))
-        return float(self.g2()[idx])
+    def g2_zero(self):
+        """g2 in bin (n - 1) // 2: the bin ending at 0 for an even n, else the centred one."""
+        return float(self.g2()[(self.counts.size - 1) // 2])
 
     def to_csv(self, path):
         line_a, line_b = self.source_lines
@@ -125,9 +133,10 @@ class CorrelationHistogram:
         np.savetxt(path, table, fmt="%.6f,%d,%.8e", header=header, comments="")
 
 
-def _correlation_bin_count(window, bin_width):
-    """Bins of a +-``window`` histogram at ``bin_width``, checked against the
-    contract bin_width <= window / 50 and against ``_MAX_CORRELATION_BINS``."""
+def _correlation_edges(window, bin_width):
+    """Edges of +-``window`` cut into a whole number of bins of about
+    ``bin_width``, checked against the contract bin_width <= window / 50 and
+    against ``_MAX_CORRELATION_BINS`` before any is laid out."""
     number(window, "correlation.window", above=0.0)
     number(bin_width, "correlation.bin_width", above=0.0)
     if bin_width > window / 50.0:
@@ -138,7 +147,12 @@ def _correlation_bin_count(window, bin_width):
             f"correlation.bin_width {bin_width:g} ns over a window of +-{window:g} ns gives "
             f"{n_bins:.3g} bins, more than the cap of {_MAX_CORRELATION_BINS:.0e}"
         )
-    return int(n_bins)
+    return np.linspace(-window, window, int(n_bins) + 1)
+
+
+def _bin_width(edges):
+    """The width of each of the equal bins between ``edges``."""
+    return (edges[-1] - edges[0]) / (edges.size - 1)
 
 
 def correlate(
@@ -153,16 +167,15 @@ def correlate(
 
     Full correlation (every pair counted), not start-stop, so side peaks at
     high repetition rates are unbiased.  Requires bin_width <= window / 50
-    and at most ``_MAX_CORRELATION_BINS`` bins; the histogram keeps the width
+    and at most ``_MAX_CORRELATION_BINS`` bins; the histogram keeps the edges
     of its whole number of bins.  More than ``_MAX_PAIRS`` pairs within the
     window are rejected before any is counted.
     """
-    n_bins = _correlation_bin_count(window, bin_width)
+    edges = _correlation_edges(window, bin_width)
     number(duration, "duration", above=0.0)
     a = np.asarray(clicks_a, dtype=float)
     b = np.asarray(clicks_b, dtype=float)
-    edges = np.linspace(-window, window, n_bins + 1)
-    counts = np.zeros(n_bins)
+    counts = np.zeros(edges.size - 1)
     # For each start, the relevant stops lie in [t_a - window, t_a + window].
     lo = np.searchsorted(b, a - window, side="left")
     hi = np.searchsorted(b, a + window, side="right")
@@ -182,10 +195,7 @@ def correlate(
         stop = np.arange(first[s], first[e]) + stop_offset[start]
         counts += np.histogram(b[stop] - a[start], bins=edges)[0]
         s = e
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    return CorrelationHistogram(
-        centers, counts, len(a), len(b), duration, 2 * window / n_bins, tuple(source_lines)
-    )
+    return CorrelationHistogram(edges, counts, len(a), len(b), duration, tuple(source_lines))
 
 
 def g2_zero_closed_form(signal_rate, noise_rate):
@@ -229,23 +239,24 @@ class PeakAreas:
         np.savetxt(path, table, fmt="%d,%.8e", header=header, comments="")
 
 
-def _peak_reach(window, bin_width, repetition_rate, m_far):
+def _peak_reach(edges, repetition_rate, m_far):
     """The highest peak order |m| whose window [(m - 1/2) P, (m + 1/2) P) lies
-    within +-``window`` at the period P of ``repetition_rate`` (MHz).
+    within correlation ``edges`` at the period P of ``repetition_rate`` (MHz).
 
-    Checks that ``m_far`` is an integer >= 1 within that reach and that bins
-    of ``bin_width`` ns are no wider than P; ``peak_area_analysis`` and the
-    CLI share it, the CLI before the source is sampled.
+    Checks that ``m_far`` is an integer >= 1 within that reach and that the
+    bins are no wider than P; ``peak_area_analysis`` and the CLI share it,
+    the CLI before the source is sampled, on the edges ``correlate`` will use.
     """
     number(repetition_rate, "repetition_rate", above=0.0)
     number(m_far, "m_far", low=1, integer=True)
     period = 1e3 / repetition_rate
+    bin_width = _bin_width(edges)
     if bin_width > period:
         raise InvalidInput(
-            f"histogram bins ({bin_width} ns) are wider than the pulse period "
+            f"histogram bins ({bin_width:.4f} ns) are wider than the pulse period "
             f"({period:.4f} ns); peak windows would overlap"
         )
-    m_lim = int(np.floor(window / period + 0.5)) - 1
+    m_lim = int(np.floor(edges[-1] / period + 0.5)) - 1
     if m_lim < m_far:
         raise InvalidInput(
             f"window covers peaks only to |m|={m_lim}, need far peaks |m|>=m_far={m_far}"
@@ -262,15 +273,13 @@ def peak_area_analysis(hist: CorrelationHistogram, repetition_rate, m_far=10) ->
     source without long-time memory is the Poisson level; area(0) then
     estimates g2(0).
     """
-    half = hist.bin_width / 2
-    edges = np.append(hist.tau_centers - half, hist.tau_centers[-1] + half)
-    m_lim = _peak_reach(edges[-1], hist.bin_width, repetition_rate, m_far)
+    m_lim = _peak_reach(hist.edges, repetition_rate, m_far)
     period = 1e3 / repetition_rate
     orders = np.arange(-m_lim, m_lim + 1)
     # the cumulative count, linear within each bin, read at the window edges
     cumulative = np.concatenate(([0.0], np.cumsum(hist.counts)))
     bounds = (np.arange(-m_lim, m_lim + 2) - 0.5) * period
-    raw = np.diff(np.interp(bounds, edges, cumulative))
+    raw = np.diff(np.interp(bounds, hist.edges, cumulative))
     norm = raw[np.abs(orders) >= m_far].mean()
     if norm <= 0:
         raise InvalidInput("far peaks are empty; record is too short to normalize")

@@ -250,6 +250,10 @@ class TestExitCodes:
             ("hbt", "fig10_shelving", {"analysis": {"m_far": True}}, "m_far"),
             ("hbt", "laser_80mhz", {"correlation": {"window": 1000.0, "bin_width": 20.0}},
              "wider than the pulse period"),
+            # 117 ns over 105 bins: 1.1143 ns, above the 1.1111 ns period, though 1.11 is not
+            ("hbt", "laser_80mhz", {"poisson": {"repetition_rate": 900.0},
+                                    "correlation": {"window": 58.5, "bin_width": 1.11}},
+             "wider than the pulse period"),
             ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"line": "Y"}}},
              "analysis.decay_fit.line"),
             ("hbt", None, {key: value for key, value in load_preset("fig8_jitter").items()
@@ -265,7 +269,7 @@ class TestExitCodes:
             ("cross-corr", "cascade_x2_x", {"lines": ["X2", "Y"]}, "lines"),
         ],
         ids=["m-far-string", "m-far-beyond-the-window", "m-far-fraction", "m-far-bool",
-             "bins-wider-than-the-period", "decay-fit-line", "decay-fit-no-t-start",
+             "bins-wider-than-the-period", "real-bins-wider-than-the-period", "decay-fit-line", "decay-fit-no-t-start",
              "decay-fit-t-start-string", "decay-fit-window-reversed", "detector-efficiency",
              "detector-jitter", "line-filter", "cross-corr-lines"],
     )
@@ -682,6 +686,33 @@ class TestRuns:
         assert rc == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["peak_area_one"] == pytest.approx(1.0, abs=0.2)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # the window ends on the edge of peak 11's window, so peak 10 just fits
+            {"correlation": {"window": 131.25, "bin_width": 0.03}},
+            # 112 ns over 101 bins: 1.1089 ns, within the 1.1111 ns period, though 1.1112 is not
+            {"poisson": {"repetition_rate": 900.0},
+             "correlation": {"window": 56.0, "bin_width": 1.1112222222222223}},
+        ],
+        ids=["window-on-a-peak-window-edge", "real-bins-fit-the-period"],
+    )
+    def test_peak_reach_is_checked_on_the_bins_correlate_lays_out(self, tmp_path, config):
+        path = write_config(tmp_path, config)
+        rc = cli.main(["hbt", "--preset", "laser_80mhz", "--config", path,
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "peak_areas.csv").exists()
+
+    def test_cross_corr_g2_zero_is_the_bin_below_zero(self, tmp_path):
+        # 112 bins: bin 55 ends at 0 and sees no X just before its X2; bin 56 is bunched
+        path = write_config(tmp_path, {"correlation": {"window": 1.4, "bin_width": 0.025}})
+        rc = cli.main(["cross-corr", "--preset", "cascade_x2_x", "--config", path,
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["g2_zero"] < 0.1
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, small_hbt_config())

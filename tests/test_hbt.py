@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -246,7 +248,7 @@ class TestCorrelate:
 
     def test_csv_bytes(self, tmp_path):
         h = CorrelationHistogram(
-            np.array([-0.5, 0.5]), np.array([3.0, 1.0]), 2, 4, 8.0, 1.0, ("X2", "X")
+            np.array([-1.0, 0.0, 1.0]), np.array([3.0, 1.0]), 2, 4, 8.0, ("X2", "X")
         )
         h.to_csv(tmp_path / "hist.csv")
         assert (tmp_path / "hist.csv").read_bytes() == (
@@ -270,6 +272,24 @@ class TestCorrelate:
         correlate(a, a, 50.0, 1.0, 10.0, source_lines).to_csv(tmp_path / "hist.csv")
         header = (tmp_path / "hist.csv").read_text().splitlines()[:2]
         assert header == [f"# mode = {mode}", "# source_lines = {},{}".format(*source_lines)]
+
+
+class TestZeroDelayBin:
+    @pytest.mark.parametrize(
+        "window,bin_width,n_bins",
+        [(1.4, 0.025, 112), (7.3, 0.11, 133), (0.7, 0.01, 140)],
+        ids=["even-count", "odd-count-centred-bin", "middle-edge-off-zero"],
+    )
+    def test_g2_zero_reads_bin_n_minus_1_over_2(self, window, bin_width, n_bins):
+        edges = hbt_module._correlation_edges(window, bin_width)
+        zero = (n_bins - 1) // 2
+        counts = np.ones(n_bins)
+        counts[zero] = 7.0
+        h = CorrelationHistogram(edges, counts, 1, 1, 1.0)
+        assert h.counts.size == n_bins
+        # the bin ends at tau = 0 for an even count and is centred on it for an odd one
+        assert abs(edges[zero + 1] if n_bins % 2 == 0 else h.tau_centers[zero]) < 1e-12
+        assert h.g2_zero() == pytest.approx(7.0 * h.g2()[0], rel=1e-12)
 
 
 class TestClosedForm:
@@ -322,11 +342,33 @@ class TestPeakAreas:
     def test_flat_histogram_gives_every_window_one_period(self, rate, window, bin_width):
         n_bins = int(round(2 * window / bin_width))
         edges = np.linspace(-window, window, n_bins + 1)
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        h = CorrelationHistogram(centers, np.ones(n_bins), 1, 1, 1.0, bin_width)
+        h = CorrelationHistogram(edges, np.ones(n_bins), 1, 1, 1.0)
         areas = peak_area_analysis(h, rate, m_far=10)
         np.testing.assert_allclose(areas.raw_counts, 1e3 / rate / bin_width, rtol=1e-9)
         np.testing.assert_allclose(areas.areas, 1.0, rtol=1e-9)
+
+    def test_peak_reach_raises_exactly_when_peak_area_analysis_does(self):
+        windows = [(131.25, 0.03), (58.5, 1.11), (56.0, 1.1112222222222223), (160.0, 0.5),
+                   (12.0, 0.05), (100.0, 2.0), (313.0, 6.0)]
+        outcomes = {}
+        for (window, bin_width), rate, m_far in itertools.product(
+            windows, (40.0, 80.0, 900.0, 1070.0), (1, 5, 10, 12, 49, 60)
+        ):
+            edges = hbt_module._correlation_edges(window, bin_width)
+            h = CorrelationHistogram(edges, np.ones(edges.size - 1), 1, 1, 1.0)
+            raised = []
+            for check in (lambda: hbt_module._peak_reach(edges, rate, m_far),
+                          lambda: peak_area_analysis(h, rate, m_far)):
+                try:
+                    check()
+                    raised.append(False)
+                except InvalidInput:
+                    raised.append(True)
+            assert raised[0] == raised[1], (window, bin_width, rate, m_far)
+            outcomes[window, bin_width, rate, m_far] = raised[0]
+        assert not outcomes[131.25, 0.03, 80.0, 10]
+        assert outcomes[58.5, 1.11, 900.0, 10]
+        assert not outcomes[56.0, 1.1112222222222223, 900.0, 10]
 
     def test_overlapping_windows_rejected(self):
         a = np.sort(np.random.default_rng(20).uniform(0, 1e4, 2000))
