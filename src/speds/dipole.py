@@ -71,9 +71,7 @@ def adaptive_integral(f, a, b):
 
     def integrate(panels):
         per_panel = _panel_integrals(f, np.linspace(a, b, panels + 1), _PANEL_ORDER)
-        # each design's panels summed as one contiguous row, as for one design
-        sums = np.array([np.sum(row) for row in np.atleast_2d(per_panel)])
-        return sums, per_panel.ndim > 1
+        return np.atleast_2d(per_panel).sum(axis=-1), per_panel.ndim > 1
 
     panels = _MIN_PANELS
     prev, batched = integrate(panels)
@@ -204,7 +202,6 @@ class _CavityFields:
     """
 
     def __init__(self, geometry: EmissionGeometry, swept):
-        self.g = geometry
         src = geometry.source
         self.wl = src.vacuum_wavelength
         self.k0 = 2.0 * np.pi / self.wl
@@ -215,30 +212,25 @@ class _CavityFields:
         }
         self.swept = swept
 
-    def _rt(self, side, kpar, pol):
-        """(r, t) of one mirror, with a design axis if it is the swept one."""
+    def _amplitudes(self, side, kpar, kz_host, pol):
+        """(a, t) of one mirror, with a design axis if it is the swept one:
+        its reflection carried from the dipole to the mirror and back,
+        a = r exp(2i kz d), and its transmission t."""
+        stack, distance = self.mirrors[side]
         rt = bragg_prefix_rt if side == self.swept else stack_rt
-        return rt(self.mirrors[side][0], self.wl, kpar, pol, _IM_REG)
-
-    def _mirrors(self, chi):
-        """a-coefficients at complex host angle chi (vectorized)."""
-        u = np.sin(chi)
-        kpar = self.n_host * self.k0 * u
-        kz_host = self.n_host * self.k0 * np.cos(chi)
-        out = {}
-        for pol in (TE, TM):
-            out[pol] = tuple(
-                self._rt(side, kpar, pol)[0] * np.exp(2j * kz_host * self.mirrors[side][1])
-                for side in ("upper", "lower")
-            )
-        return out
+        r, t = rt(stack, self.wl, kpar, pol, _IM_REG)
+        return r * np.exp(2j * kz_host * distance), t
 
     def dissipation_integrand(self, chi):
         """Total-power integrand G(chi) so that P = Re integral G dchi."""
-        m = self._mirrors(chi)
-        a_up_te, a_dn_te = m[TE]
-        a_up_tm, a_dn_tm = m[TM]
         s, c = np.sin(chi), np.cos(chi)
+        kpar = self.n_host * self.k0 * s
+        kz_host = self.n_host * self.k0 * c
+        a_up_te, a_dn_te, a_up_tm, a_dn_tm = (
+            self._amplitudes(side, kpar, kz_host, pol)[0]
+            for pol in (TE, TM)
+            for side in ("upper", "lower")
+        )
         te = (1.0 + a_up_te) * (1.0 + a_dn_te) / (1.0 - a_up_te * a_dn_te)
         tm = (1.0 - a_up_tm) * (1.0 - a_dn_tm) / (1.0 - a_up_tm * a_dn_tm)
         return 0.75 * s * (te + c ** 2 * tm)
@@ -261,8 +253,7 @@ class _CavityFields:
         """
         theta_rad = np.asarray(theta_rad, dtype=float)
         same, opp = ("upper", "lower") if side == "top" else ("lower", "upper")
-        (stack, dist_same), (_, dist_opp) = self.mirrors[same], self.mirrors[opp]
-        n_out = stack.exit_index.real
+        n_out = self.mirrors[same][0].exit_index.real
         u = (n_out / self.n_host) * np.sin(theta_rad)
         cos2chi = 1.0 - u ** 2
         cos2chi = np.maximum(cos2chi, 1e-15)
@@ -277,10 +268,8 @@ class _CavityFields:
         )
         floor2 = _DENOM_FLOOR ** 2
         for pol, sign in ((TE, +1.0), (TM, -1.0)):
-            r_same, t_same = self._rt(same, kpar, pol)
-            r_opp, _ = self._rt(opp, kpar, pol)
-            a_same = r_same * np.exp(2j * kz_host * dist_same)
-            a_opp = r_opp * np.exp(2j * kz_host * dist_opp)
+            a_same, t_same = self._amplitudes(same, kpar, kz_host, pol)
+            a_opp, _ = self._amplitudes(opp, kpar, kz_host, pol)
             denom = np.abs(1.0 - a_same * a_opp) ** 2 + floor2
             num = np.abs(1.0 + sign * a_opp) ** 2 * np.abs(t_same) ** 2
             if pol == TE:
@@ -292,7 +281,7 @@ class _CavityFields:
 
     def cone_power(self, numerical_aperture):
         """Power radiated into the top-side collection cone of this aperture."""
-        theta_c = np.arcsin(numerical_aperture / self.g.upper.exit_index.real)
+        theta_c = np.arcsin(numerical_aperture / self.mirrors["upper"][0].exit_index.real)
         cone = adaptive_integral(lambda th: self.escape_density(th, "top"), 0.0, theta_c)
         return np.real(cone)
 

@@ -494,7 +494,7 @@ def pulsed_poisson_record(
     number(duration_ns, "duration", above=0.0)
     rng = np.random.default_rng(seed)
     period = 1e3 / repetition_rate_mhz
-    n_pulses = int(duration_ns / period)
+    n_pulses = int(np.ceil(duration_ns / period))  # pulses at every k * period < duration
     pulse = np.repeat(np.arange(n_pulses), rng.poisson(mean_photons_per_pulse, n_pulses))
     times = pulse * period + np.abs(rng.normal(0.0, _POISSON_JITTER_NS, pulse.size))
     times = np.sort(times[times < duration_ns])

@@ -92,10 +92,10 @@ def run_dc_g2_zero(noise_to_signal, seed):
     det = DetectorPair(dark_rate=noise_to_signal * signal * 1e9)
     a, b = detect(rec, det, seed=seed + 1, line_filter_a=LINE_X, line_filter_b=LINE_X)
     hist = correlate(a, b, window=2.5, bin_width=0.05, duration=rec.duration)
-    i0 = np.argmin(np.abs(hist.tau_centers))
+    i0 = (hist.counts.size - 1) // 2  # the bin g2_zero reads
     expected_counts = hist.n_a * hist.n_b * hist.bin_width / hist.duration
     se = np.sqrt(max(hist.counts[i0], 1.0)) / expected_counts
-    return hist.g2()[i0], g2_zero_closed_form(signal, noise_to_signal * signal), se
+    return hist.g2_zero(), g2_zero_closed_form(signal, noise_to_signal * signal), se
 
 
 def qe_ratio(tau_x, seed):

@@ -3,6 +3,7 @@ import math
 import time
 from itertools import count
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -676,6 +677,20 @@ class TestRuns:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["peak_area_one"] == pytest.approx(1.0, abs=0.2)
         assert summary["outputs"] == ["histogram.csv", "peak_areas.csv"]
+
+    def test_poisson_dc_g2_is_flat(self, tmp_path):
+        # uncorrelated photons: each bin counts Poisson about the accidental level, so g2
+        # has standard error 1/sqrt(accidental); the worst of the 200 bins is 2.3 of them
+        config = {"source": "poisson_dc", "poisson": {"rate_per_ns": 0.5, "duration": 2e5},
+                  "correlation": {"window": 10.0, "bin_width": 0.1}, "seed": 7}
+        rc = cli.main(["hbt", "--config", write_config(tmp_path, config),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        table = np.loadtxt(tmp_path / "histogram.csv", delimiter=",", skiprows=6)
+        assert table.shape == (200, 3)
+        accidental = summary["n_clicks_a"] * summary["n_clicks_b"] * 0.1 / 2e5
+        assert np.all(np.abs(table[:, 2] - 1.0) < 4.0 / np.sqrt(accidental))
 
     def test_peak_areas_read_at_the_source_rate(self, tmp_path):
         # a 40 MHz source read at 80 MHz would leave every odd peak empty

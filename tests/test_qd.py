@@ -441,6 +441,13 @@ class TestPoissonSources:
         assert np.all(np.diff(rec.time_ns) >= 0)
         assert rec.time_ns[0] >= 0.0 and rec.time_ns[-1] < rec.duration
 
+    def test_pulsed_poisson_keeps_the_pulse_of_a_partial_last_period(self):
+        # 130 ns at 80 MHz: pulses at 0, 12.5, ..., 125 ns, the last one 5 ns before the end
+        rec = pulsed_poisson_record(80.0, 50.0, 130.0, seed=44)
+        last = rec.time_ns[rec.time_ns >= 125.0]
+        assert last.size > 0 and last.max() < 130.0
+        assert np.unique(np.floor(rec.time_ns / 12.5)).size == 11
+
     def test_pulsed_poisson_structure(self):
         rec = pulsed_poisson_record(80.0, 0.3, 1e5, seed=42)
         phases = np.mod(rec.times(), 12.5)
