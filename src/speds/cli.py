@@ -237,14 +237,17 @@ def _check_lines(key, lines):
             )
 
 
-def _detection(config, key, lines, duration):
-    """Check what the detection chain reads, before anything is sampled: the
-    ``lines`` (config key ``key``) on arms A and B, the detector pair, the
-    noise, a given dark rate's counts over ``duration`` ns, and the
-    correlation bins.
+def _correlated(config, seed, sample, duration, key, lines):
+    """Check, sample, detect ``lines`` on arms A and B, and correlate: hbt's and
+    cross-corr's chain.
 
-    Returns ``(detectors, ratio)``: the detector pair as configured and the
-    noise/signal ratio the config sets, or None.
+    Before ``sample(seed)`` draws the record, it checks the ``lines`` (config
+    key ``key``), the detector pair, a given dark rate's counts over the
+    source's ``duration`` ns, the noise and the correlation bins.  A
+    noise/signal ratio sets the dark rate from the signal rate on
+    ``line_filter``, its counts checked against the cap before any is drawn.
+    Returns ``(record, histogram, rates)``; ``rates`` holds the signal rate,
+    the noise rate (both 1/ns) and any noise/signal ratio set.
     """
     _check_lines(key, lines)
     detectors = hbt.DetectorPair(**config.get("detectors", {}))
@@ -253,19 +256,6 @@ def _detection(config, key, lines, duration):
     ratio = _noise_ratio(config, detectors.dark_rate)
     corr_cfg = config["correlation"]
     hbt._correlation_edges(corr_cfg["window"], corr_cfg["bin_width"])
-    return detectors, ratio
-
-
-def _correlated(config, seed, sample, lines, detectors, ratio):
-    """Sample, detect ``lines`` on arms A and B, and correlate: hbt's and cross-corr's chain.
-
-    ``detectors`` and ``ratio`` come from ``_detection``; a ratio sets the
-    dark rate from the signal rate on ``line_filter``, its counts checked
-    against the cap before any is drawn.  Returns ``(record, histogram,
-    rates)``; ``rates`` holds the signal rate, the noise rate (both 1/ns) and
-    any noise/signal ratio set.
-    """
-    corr_cfg = config["correlation"]
     record = sample(seed)
     signal = record.times(config.get("line_filter")).size
     signal_per_ns = signal / record.duration
@@ -287,8 +277,6 @@ def _correlated(config, seed, sample, lines, detectors, ratio):
 
 def cmd_hbt(config, seed):
     sample, duration, repetition_rate, drive = _source_from_config(config)
-    line = config.get("line_filter")
-    detection = _detection(config, "line_filter", (line, line), duration)
     analysis = config.get("analysis", {})
     if "m_far" in analysis:
         if repetition_rate is None:
@@ -302,7 +290,7 @@ def cmd_hbt(config, seed):
         if drive is None:
             raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
         fit_cfg = analysis["decay_fit"]
-        _check_lines("analysis.decay_fit.line", (fit_cfg.get("line", qd.LINE_X),))
+        _check_lines("analysis.decay_fit.line", (fit_cfg.get("line"),))
         qd._decay_bin_count(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
         t_start, t_stop = (
             number(fit_cfg[k], f"analysis.decay_fit.{k}") for k in ("t_start", "t_stop")
@@ -312,17 +300,22 @@ def cmd_hbt(config, seed):
                 f"analysis.decay_fit needs t_start < t_stop, got t_start={t_start!r}, "
                 f"t_stop={t_stop!r}"
             )
-    record, hist, rates = _correlated(config, seed, sample, (line, line), *detection)
+    line = config.get("line_filter")
+    record, hist, rates = _correlated(config, seed, sample, duration, "line_filter", (line, line))
     files = {"histogram.csv": hist}
     summary = {
         "n_clicks_a": int(hist.n_a),
         "n_clicks_b": int(hist.n_b),
         **rates,
         "g2_zero_measured": hist.g2_zero(),
-        "g2_zero_eq1_prediction": hbt.g2_zero_closed_form(
-            rates["signal_rate_per_ns"], rates["noise_rate_per_ns"]
-        ),
     }
+    text = f"g2(0) measured = {summary['g2_zero_measured']:.4f}"
+    # Eq. (1) is the law of a single emitter, which only a qd source is
+    if config.get("source", "qd") == "qd":
+        summary["g2_zero_eq1_prediction"] = hbt.g2_zero_closed_form(
+            rates["signal_rate_per_ns"], rates["noise_rate_per_ns"]
+        )
+        text += f", Eq.(1) prediction = {summary['g2_zero_eq1_prediction']:.4f}"
     if "m_far" in analysis:
         areas = hbt.peak_area_analysis(hist, repetition_rate, m_far=analysis["m_far"])
         files["peak_areas.csv"] = areas
@@ -332,10 +325,6 @@ def cmd_hbt(config, seed):
         profile_cfg = {k: v for k, v in fit_cfg.items() if k in ("line", "bin_ps")}
         centers, counts = qd.decay_profile(record, drive, **profile_cfg)
         summary["fitted_decay_ns"] = qd.fit_decay_time(centers, counts, t_start, t_stop)
-    text = (
-        f"g2(0) measured = {summary['g2_zero_measured']:.4f}, "
-        f"Eq.(1) prediction = {summary['g2_zero_eq1_prediction']:.4f}"
-    )
     return summary, files, text
 
 
@@ -344,8 +333,7 @@ def cmd_cross_corr(config, seed):
     if not (isinstance(lines, list) and len(lines) == 2):
         raise InvalidInput("config needs 'lines': [start_line, stop_line]")
     sample, duration, _, _ = _source_from_config(config)
-    detection = _detection(config, "lines", lines, duration)
-    _, hist, _ = _correlated(config, seed, sample, lines, *detection)
+    _, hist, _ = _correlated(config, seed, sample, duration, "lines", lines)
     g2, n = hist.g2(), hist.counts.size
     # the halves either side of tau = 0; the centred bin of an odd n is in neither
     summary = {
@@ -457,7 +445,7 @@ def _load_config(args):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInput(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidInput(
@@ -488,12 +476,20 @@ def main(argv=None):
         except OSError as exc:
             raise InvalidInput(f"cannot create output directory: {exc}") from exc
         summary, files, text = _COMMANDS[args.command][0](config, seed)
-        for name, result in files.items():
-            result.to_csv(os.path.join(args.out, name))
-        summary["outputs"] = list(files)
-        with open(os.path.join(args.out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        written = []  # the paths this run has started to write, in order
+        try:
+            for name, result in files.items():
+                written.append(os.path.join(args.out, name))
+                result.to_csv(written[-1])
+            summary["outputs"] = list(files)
+            written.append(os.path.join(args.out, "summary.json"))
+            with open(written[-1], "w") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            for path in written[:-1]:  # all but the write that failed
+                os.remove(path)
+            raise InvalidInput(f"cannot write output: {exc}") from exc
         print(text)
         return 0
     except (InvalidInput, UnsupportedInput) as exc:

@@ -397,6 +397,21 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
+    @pytest.mark.parametrize(
+        "command,preset,blocked",
+        [("hbt", "ghz_ideal", "peak_areas.csv"), ("throughput", "throughput_ghz", "summary.json")],
+    )
+    def test_output_that_cannot_be_written_exits_2_and_leaves_no_file(
+        self, tmp_path, capsys, command, preset, blocked
+    ):
+        (tmp_path / blocked).mkdir()
+        rc = cli.main([command, "--preset", preset, "--out", str(tmp_path)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write output: ") and blocked in err, err
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
     def test_missing_key_named_by_dotted_path(self, tmp_path, capsys):
         config = poisson_dc_config()
         del config["poisson"]["rate_per_ns"]
@@ -471,7 +486,9 @@ class TestExitCodes:
     def test_unreadable_config_exits_2_naming_the_file(self, tmp_path, capsys):
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes('{"seed": 1, "note": "\u00e9"}'.encode("latin-1"))
-        for path in (tmp_path, not_utf8, tmp_path / "missing.json"):
+        too_deep = tmp_path / "deep.json"
+        too_deep.write_text("[" * 100_000 + "]" * 100_000)
+        for path in (tmp_path, not_utf8, tmp_path / "missing.json", too_deep):
             rc = cli.main(["hbt", "--preset", "dc_eq1", "--config", str(path),
                            "--out", str(tmp_path / "out")])
             assert rc == 2
@@ -691,6 +708,37 @@ class TestRuns:
         assert table.shape == (200, 3)
         accidental = summary["n_clicks_a"] * summary["n_clicks_b"] * 0.1 / 2e5
         assert np.all(np.abs(table[:, 2] - 1.0) < 4.0 / np.sqrt(accidental))
+
+    @pytest.mark.parametrize(
+        "preset,config,eq1",
+        [
+            ("laser_80mhz", {}, False),
+            (None, {**poisson_dc_config(rate_per_ns=0.5, duration=2e5), "seed": 7}, False),
+            ("dc_eq1", {}, True),
+        ],
+        ids=["laser_80mhz", "poisson_dc", "dc_eq1"],
+    )
+    def test_eq1_prediction_only_for_a_qd_source(self, tmp_path, capsys, preset, config, eq1):
+        # Eq. (1) is the g2(0) of a single emitter, not of a classical source
+        args = ["hbt", "--config", write_config(tmp_path, config), "--out", str(tmp_path)]
+        rc = cli.main(args if preset is None else [*args, "--preset", preset])
+        assert rc == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert ("g2_zero_eq1_prediction" in summary) == eq1
+        assert ("Eq.(1) prediction" in capsys.readouterr().out) == eq1
+
+    def test_decay_fit_defaults_to_the_x_line_in_50_ps_bins(self, tmp_path):
+        # fig8_jitter sets the defaults, so dropping them changes nothing
+        config = load_preset("fig8_jitter")
+        for key in ("line", "bin_ps"):
+            del config["analysis"]["decay_fit"][key]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        rc = cli.main(["hbt", "--config", write_config(tmp_path, config), "--out", str(out_a)])
+        assert rc == 0
+        assert cli.main(["hbt", "--preset", "fig8_jitter", "--out", str(out_b)]) == 0
+        fitted = [json.loads((out / "summary.json").read_text())["fitted_decay_ns"]
+                  for out in (out_a, out_b)]
+        assert fitted[0] == fitted[1]
 
     def test_peak_areas_read_at_the_source_rate(self, tmp_path):
         # a 40 MHz source read at 80 MHz would leave every odd peak empty
