@@ -291,14 +291,16 @@ def cmd_hbt(config, seed):
             raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
         fit_cfg = analysis["decay_fit"]
         _check_lines("analysis.decay_fit.line", (fit_cfg.get("line"),))
-        qd._decay_bin_count(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
+        edges = qd._decay_edges(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
         t_start, t_stop = (
             number(fit_cfg[k], f"analysis.decay_fit.{k}") for k in ("t_start", "t_stop")
         )
-        if not t_start < t_stop:
+        # the bins decay_profile will fill; a reversed window holds none
+        centers = 0.5 * (edges[1:] + edges[:-1])
+        if np.count_nonzero((centers >= t_start) & (centers <= t_stop)) < qd._FIT_BINS:
             raise InvalidInput(
-                f"analysis.decay_fit needs t_start < t_stop, got t_start={t_start!r}, "
-                f"t_stop={t_stop!r}"
+                f"analysis.decay_fit needs t_start < t_stop around at least {qd._FIT_BINS} "
+                f"decay-bin centres, got t_start={t_start!r}, t_stop={t_stop!r}"
             )
     line = config.get("line_filter")
     record, hist, rates = _correlated(config, seed, sample, duration, "line_filter", (line, line))

@@ -23,11 +23,10 @@ def available_presets():
 
 
 def load_preset(name):
-    """The parsed config dict for a bundled preset."""
-    path = resources.files(_PKG) / f"{name}.json"
-    if not path.is_file():
+    """The parsed config dict for a bundled preset, named as ``available_presets`` lists it."""
+    if name not in available_presets():
         raise InvalidInput(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}"
         )
-    with path.open() as fh:
+    with (resources.files(_PKG) / f"{name}.json").open() as fh:
         return json.load(fh)

@@ -49,6 +49,7 @@ _CYCLES = 1 << 14  # renewal cycles, and at most as many markers, per DC batch
 _MAX_CYCLE_PHOTONS = 1000
 _DECAY_BIN_PS = 50.0  # default decay-profile bin width
 _MAX_DECAY_BINS = 10**6  # decay-profile bins per drive period
+_FIT_BINS = 3  # fewest populated bins in its window that a decay-time fit takes
 _LANES = 1 << 16  # one-period paths, at most, drawn together into a pulsed pool
 _FIRST_LANES = 1 << 10  # fewest paths drawn into a pulsed pool at once, as at first
 _POISSON_JITTER_NS = 0.05  # Gaussian spread of a pulsed Poisson photon after its pulse
@@ -354,12 +355,11 @@ def _pooled_record(segments, drive, rng):
 
     Within s's pool the paths that end outside s close the runs of s: the
     i-th run of s lasts ``run_len[s][i]`` periods and moves to
-    ``leave_to[s][i]``, so the walk makes one step per state change.  The
-    last run may end inside a pool's tail of self-loops.  Each state's used
-    paths are a prefix of its pool; their periods follow from the runs'
-    first periods.  A photon's time is its period's start plus its time
-    within the period, so one stable sort on the times merges the states'
-    photons into period order.
+    ``leave_to[s][i]``, so the walk makes one step per state change; the
+    last run may end inside a pool's tail of self-loops.  Expanded, the runs
+    give each period's start state.  A photon's time is its period's start
+    plus its time within the period, so one stable sort on the times merges
+    the states' photons into period order.
     """
     period, n = drive.period, int(np.ceil(drive.duration / drive.period))
     n_states = segments[0][2].size
@@ -398,22 +398,18 @@ def _pooled_record(segments, drive, rng):
         k += step
         s = to
 
-    path, lens = np.array(path, dtype=np.int8), np.array(lens, dtype=np.int64)
-    first = np.cumsum(lens) - lens  # each run's first period
+    start_state = np.repeat(np.array(path, dtype=np.int8), lens)  # per period walked
+    # The period index is int32, half int64's bytes: freed, a larger one lifts
+    # malloc's mmap threshold, and the process's peak memory with it
+    index_type = np.int32 if k < 2**31 else np.int64  # k periods walked
     parts = []
     for state in range(n_states):
-        runs = path == state
-        place = np.cumsum(lens[runs]) - lens[runs]  # each run's first place in the pool
-        offset = first[runs] - place  # a used path's period minus its place
-        base, stop = 0, int(lens[runs].sum())  # the used paths are the first ``stop``
+        periods = np.arange(k, dtype=index_type)[start_state == state]  # take s's paths
         for counts, times, codes in drawn[state]:
-            at = base + np.arange(min(counts.size, stop - base))
-            if not at.size:
-                break
-            path_start = (at + offset[np.searchsorted(place, at, side="right") - 1]) * period
-            m = int(counts[: at.size].sum())
-            parts.append((np.repeat(path_start, counts[: at.size]) + times[:m], codes[:m]))
-            base += counts.size
+            ks, periods = periods[: counts.size], periods[counts.size:]
+            m = int(counts[: ks.size].sum())
+            parts.append((np.repeat(ks * period, counts[: ks.size]) + times[:m], codes[:m]))
+    del start_state, periods, ks  # left alive, they would sit through the sort
     times, codes = (np.concatenate(col) for col in zip(*parts))
     order = np.argsort(times, kind="stable")
     times = times[order]
@@ -421,8 +417,8 @@ def _pooled_record(segments, drive, rng):
     return EmissionRecord(times[:keep], codes[order[:keep]], drive.duration)
 
 
-def _decay_bin_count(drive: DriveProgram, bin_ps):
-    """Bins of ``bin_ps`` picoseconds per drive period, checked against the cap."""
+def _decay_edges(drive: DriveProgram, bin_ps):
+    """Decay-profile bin edges over one drive period, at most ``bin_ps`` ps apart."""
     if drive.mode != MODE_PULSED:
         raise InvalidInput("decay_profile requires a pulsed drive")
     bin_ns = number(bin_ps, "bin_ps", above=0.0) * 1e-3
@@ -432,7 +428,7 @@ def _decay_bin_count(drive: DriveProgram, bin_ps):
             f"decay bins of {bin_ps:g} ps give {n_bins:.3g} bins per period, "
             f"more than the cap of {_MAX_DECAY_BINS:g}"
         )
-    return int(n_bins)
+    return np.linspace(0.0, drive.period, int(n_bins) + 1)
 
 
 def decay_profile(
@@ -442,9 +438,8 @@ def decay_profile(
 
     Returns (bin_centers_ns, counts).  Empty records give all-zero counts.
     """
-    period = drive.period
-    edges = np.linspace(0.0, period, _decay_bin_count(drive, bin_ps) + 1)
-    counts, _ = np.histogram(np.mod(record.times(line), period), bins=edges)
+    edges = _decay_edges(drive, bin_ps)
+    counts, _ = np.histogram(np.mod(record.times(line), drive.period), bins=edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
     return centers, counts
 
@@ -452,7 +447,7 @@ def decay_profile(
 def fit_decay_time(centers, counts, t_start, t_stop):
     """Exponential-tail lifetime from a log-linear least-squares fit."""
     mask = (centers >= t_start) & (centers <= t_stop) & (counts > 0)
-    if np.count_nonzero(mask) < 3:
+    if np.count_nonzero(mask) < _FIT_BINS:
         raise InvalidInput("not enough populated bins in the fit window")
     x = centers[mask]
     y = np.log(counts[mask].astype(float))

@@ -57,9 +57,12 @@ class TestPresets:
                          "fig10_shelving", "throughput_ghz"):
             assert expected in names
 
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(InvalidInput, match="unknown preset"):
-            load_preset("does_not_exist")
+    def test_unknown_preset_rejected(self, tmp_path):
+        # only a bundled name: a path to any other file, JSON or not, is no preset
+        (tmp_path / "not_json.json").write_text("{")
+        for name in ("does_not_exist", "../presets/dc_eq1", str(tmp_path / "not_json")):
+            with pytest.raises(InvalidInput, match="unknown preset"):
+                load_preset(name)
 
     def test_presets_declare_their_command(self):
         for name in available_presets():
@@ -71,9 +74,15 @@ class TestExitCodes:
         assert cli.main(["throughput", "--out", "."]) == 2
         assert "preset" in capsys.readouterr().err
 
-    def test_unknown_preset_exits_2(self, tmp_path):
-        rc = cli.main(["hbt", "--preset", "nope", "--out", str(tmp_path)])
-        assert rc == 2
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        # a path, to a bundled preset or to a file that is not JSON, names no preset
+        (tmp_path / "not_json.json").write_text("{")
+        out = tmp_path / "out"
+        for name in ("nope", "../presets/dc_eq1", str(tmp_path / "not_json")):
+            rc = cli.main(["hbt", "--preset", name, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: unknown preset {name!r}")
+        assert not out.exists()
 
     def test_command_mismatch_exits_2(self, tmp_path, capsys):
         rc = cli.main(["hbt", "--preset", "throughput_ghz", "--out", str(tmp_path)])
@@ -263,6 +272,11 @@ class TestExitCodes:
             ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"t_start": "a"}}}, "t_start"),
             ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"t_start": 9.0, "t_stop": 1.5}}},
              "t_start < t_stop"),
+            # past the 12.5 ns period, and around one 50 ps bin: a fit needs 3 bins
+            ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"t_start": 20.0, "t_stop": 30.0}}},
+             "analysis.decay_fit"),
+            ("hbt", "fig8_jitter", {"analysis": {"decay_fit": {"t_start": 1.5, "t_stop": 1.55}}},
+             "analysis.decay_fit"),
             ("hbt", "fig10_shelving", {"detectors": {"efficiency": 2.0}}, "efficiency"),
             ("hbt", "fig10_shelving", {"detectors": {"timing_jitter_sigma": -1.0}},
              "timing_jitter_sigma"),
@@ -271,7 +285,8 @@ class TestExitCodes:
         ],
         ids=["m-far-string", "m-far-beyond-the-window", "m-far-fraction", "m-far-bool",
              "bins-wider-than-the-period", "real-bins-wider-than-the-period", "decay-fit-line", "decay-fit-no-t-start",
-             "decay-fit-t-start-string", "decay-fit-window-reversed", "detector-efficiency",
+             "decay-fit-t-start-string", "decay-fit-window-reversed",
+             "decay-fit-window-past-the-period", "decay-fit-window-of-one-bin", "detector-efficiency",
              "detector-jitter", "line-filter", "cross-corr-lines"],
     )
     def test_analysis_detector_and_line_keys_exit_2_before_sampling(
@@ -331,7 +346,8 @@ class TestExitCodes:
         "preset,override",
         [
             ("laser_80mhz", {"analysis": {"m_far": 20}}),
-            ("fig8_jitter", {"analysis": {"decay_fit": {"t_start": 50.0, "t_stop": 60.0}}}),
+            # fig8_jitter emits no marker photons, so no bin of the profile is populated
+            ("fig8_jitter", {"analysis": {"decay_fit": {"line": "marker"}}}),
         ],
         ids=["peak-areas-beyond-window", "empty-decay-fit-window"],
     )

@@ -280,6 +280,41 @@ class TestPulsedSampler:
         assert rec.times(LINE_X).size == 1
         assert rec.time_ns[-1] == rec.times(LINE_X)[0]
 
+    def test_each_period_takes_the_next_unused_path_of_its_start_state(self, monkeypatch):
+        # the pool rule, exactly, as a plain loop over the periods and the
+        # paths the walk drew; small chunks give every state a pool of several
+        monkeypatch.setattr(qd, "_LANES", 1 << 9)
+        drawn, period_paths = {}, qd._period_paths
+
+        def keep(segments, start, lanes, rng):
+            chunk = period_paths(segments, start, lanes, rng)
+            drawn.setdefault(start, []).append(chunk)
+            return chunk
+
+        monkeypatch.setattr(qd, "_period_paths", keep)
+        model = QDModel(capture_rate=5.0, shelve_probability=0.5, unshelve_rate=0.5,
+                        marker_rate=0.3)
+        drive = DriveProgram(mode=MODE_PULSED, repetition_rate=500.0, pulse_width=300.0,
+                             duration=2e4 + 0.7)
+        rec = simulate(model, drive, seed=71)
+        assert sorted(drawn) == [qd._EMPTY, qd._X, qd._X2, qd._SHELVED]  # a pool each
+        pools = {}
+        for state, chunks in drawn.items():
+            ends, counts, times, codes = (np.concatenate(col) for col in zip(*chunks))
+            pools[state] = ends, np.append(0, np.cumsum(counts, dtype=np.int64)), times, codes
+        used, times, codes, state = dict.fromkeys(pools, 0), [], [], qd._EMPTY
+        for k in range(int(np.ceil(drive.duration / drive.period))):
+            ends, first, path_times, path_codes = pools[state]
+            i = used[state]
+            used[state] += 1
+            times += (k * drive.period + path_times[first[i]:first[i + 1]]).tolist()
+            codes += path_codes[first[i]:first[i + 1]].tolist()
+            state = int(ends[i])
+        times, codes = np.array(times), np.array(codes, dtype=np.int8)
+        within = times < drive.duration
+        assert np.array_equal(rec.time_ns, times[within])
+        assert np.array_equal(rec.line_code, codes[within])
+
 
 class TestDecayProfile:
     def fig8_model(self, tau_x=2.1):
