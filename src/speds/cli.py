@@ -8,10 +8,11 @@ exception is a bug and ends in a traceback.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, fields, replace
 from functools import partial
 
 import numpy as np
@@ -33,22 +34,40 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _leaves = dict.fromkeys
+
+
+def _fields(cls):
+    """A dataclass's block: its fields, each with its default (None if none)."""
+    return {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
+
+
+def _keywords(fn):
+    """A function's block: its parameters that have a default, with it."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+class _Optional(dict):
+    """A block whose presence is the user's choice: filled only when given."""
+
+
 # The keys every photon source shares: detection, noise and correlation.
 _DETECTION_KEYS = {
     "source": None,
-    "detectors": hbt.DetectorPair,
+    "detectors": _fields(hbt.DetectorPair),
     "noise_to_signal_ratio": None,
     "target_g2_zero": None,
     "line_filter": None,
     "correlation": _leaves(("window", "bin_width")),
 }
-_THROUGHPUT_FACTORS = ("collection_gain", "rate_gain", "qe_factor")
-_SWEEP_STUDIES = {
-    "bottom": _leaves(("max_periods", "numerical_apertures")),
-    "top": _leaves(("bottom_periods", "max_top", "numerical_aperture")),
+_ANALYSIS_KEYS = {
+    "m_far": None,
+    "decay_fit": _Optional(_keywords(qd.decay_profile), t_start=None, t_stop=None),
 }
+_THROUGHPUT_FACTORS = ("collection_gain", "rate_gain", "qe_factor")
+_SWEEP_STUDIES = {"bottom": _keywords(sweep_bottom_mirror), "top": _keywords(optimize_top_mirror)}
 # A DC drive has no pulses and no sweep-out between them.
-_DC_DRIVE_KEYS = _leaves(("mode", "duration"))
+_DC_DRIVE_KEYS = {k: v for k, v in _fields(qd.DriveProgram).items() if k in ("mode", "duration")}
 # Expected events a photon source may draw: photons, plus the pulses of a
 # pulsed Poisson source, or the periods x phase segments of a pulsed qd
 # drive, which bound the segment passes of its pools' lane work.  The dark
@@ -62,7 +81,7 @@ def _geometry_from_config(config):
     if "homogeneous" in config and "design" in config:
         raise InvalidInput("config gives both a 'design' and a 'homogeneous' block; give one")
     if "homogeneous" in config:
-        n = config["homogeneous"].get("refractive_index", 1.0)
+        n = config["homogeneous"]["refractive_index"]
         lam = DESIGN_WAVELENGTH_NM
         half = LayerStack(n, (), n)
         return dipole.EmissionGeometry(half, half, dipole.DipoleSource(lam, n, lam, lam))
@@ -80,8 +99,8 @@ def _geometry_from_config(config):
 
 def cmd_emission_pattern(config, seed):
     geometry = _geometry_from_config(config)
-    na = float(geometry.aperture(config.get("numerical_aperture", 0.5)))
-    spectrum = dipole.emission_pattern(geometry, **config.get("pattern", {}))
+    na = float(geometry.aperture(config["numerical_aperture"]))
+    spectrum = dipole.emission_pattern(geometry, **config["pattern"])
     eta = dipole.direct_collection_efficiency(geometry, na, spectrum.total_power)
     summary = {
         "collection_efficiency": eta,
@@ -94,17 +113,16 @@ def cmd_emission_pattern(config, seed):
 
 
 def _sweep_keys(config):
-    """The keys of the sweep study a config names."""
-    study = config.get("study", "bottom")
+    """The keys of the sweep study a config names, the bottom one by default."""
+    study = config.setdefault("study", "bottom")
     if not isinstance(study, str) or study not in _SWEEP_STUDIES:
         raise InvalidInput(f"study must be 'bottom' or 'top', got {study!r}")
     return {"study": None, **_SWEEP_STUDIES[study]}
 
 
 def cmd_cavity_sweep(config, seed):
-    study = config.get("study", "bottom")
-    keys = {k: config[k] for k in _SWEEP_STUDIES[study] if k in config}
-    if study == "top":
+    keys = {k: config[k] for k in _SWEEP_STUDIES[config["study"]]}
+    if config["study"] == "top":
         res = optimize_top_mirror(**keys)
         summary = {
             "argmax_top_periods": res.best_parameter,
@@ -140,8 +158,8 @@ def _check_work(events, key, value):
 
 
 def _qd_source(config):
-    model = qd.QDModel(**config.get("model", {}))
-    drive = qd.DriveProgram(**config.get("drive", {}))
+    model = qd.QDModel(**config["model"])
+    drive = qd.DriveProgram(**config["drive"])
     # a capture precedes every X and X2 photon; markers come while shelved
     injecting, passes = drive.duration, 0.0
     if drive.mode == qd.MODE_PULSED:
@@ -180,7 +198,7 @@ def _poisson_pulsed_source(config):
 # (MHz) is None for a DC source, and the drive is a qd source's pulsed
 # ``DriveProgram``, else None.
 _SOURCES = {
-    "qd": (_qd_source, {"model": qd.QDModel, "drive": qd.DriveProgram}),
+    "qd": (_qd_source, {"model": _fields(qd.QDModel), "drive": _fields(qd.DriveProgram)}),
     "poisson_dc": (_poisson_dc_source, {"poisson": _leaves(("rate_per_ns", "duration"))}),
     "poisson_pulsed": (_poisson_pulsed_source, {"poisson": _leaves(
         ("repetition_rate", "mean_photons_per_pulse", "duration"))}),
@@ -188,12 +206,12 @@ _SOURCES = {
 
 
 def _source_keys(config):
-    """The keys of the photon source a config names, with the detection keys.
+    """The detection keys and those of the photon source a config names, qd by default.
 
     A ``qd`` source's drive keys depend on its mode, as the source keys depend
     on the source: a DC drive reads only ``_DC_DRIVE_KEYS``.
     """
-    source = config.get("source", "qd")
+    source = config.setdefault("source", "qd")
     if not isinstance(source, str) or source not in _SOURCES:
         raise InvalidInput(f"unknown source {source!r}; known sources: {', '.join(_SOURCES)}")
     keys = {**_DETECTION_KEYS, **_SOURCES[source][1]}
@@ -201,11 +219,6 @@ def _source_keys(config):
     if source == "qd" and isinstance(drive, dict) and drive.get("mode") == qd.MODE_DC:
         keys["drive"] = _DC_DRIVE_KEYS
     return keys
-
-
-def _source_from_config(config):
-    """The configured photon source, built and checked but not yet sampled."""
-    return _SOURCES[config.get("source", "qd")][0](config)
 
 
 def _noise_ratio(config, dark_rate):
@@ -250,7 +263,7 @@ def _correlated(config, seed, sample, duration, key, lines):
     the noise rate (both 1/ns) and any noise/signal ratio set.
     """
     _check_lines(key, lines)
-    detectors = hbt.DetectorPair(**config.get("detectors", {}))
+    detectors = hbt.DetectorPair(**config["detectors"])
     dark_counts = detectors.dark_rate * duration / 1e9
     _check_work(dark_counts, "detectors.dark_rate", detectors.dark_rate)
     ratio = _noise_ratio(config, detectors.dark_rate)
@@ -276,8 +289,8 @@ def _correlated(config, seed, sample, duration, key, lines):
 
 
 def cmd_hbt(config, seed):
-    sample, duration, repetition_rate, drive = _source_from_config(config)
-    analysis = config.get("analysis", {})
+    sample, duration, repetition_rate, drive = _SOURCES[config["source"]][0](config)
+    analysis = config["analysis"]
     if "m_far" in analysis:
         if repetition_rate is None:
             raise InvalidInput(
@@ -290,8 +303,8 @@ def cmd_hbt(config, seed):
         if drive is None:
             raise InvalidInput("analysis.decay_fit needs a qd source with a pulsed drive")
         fit_cfg = analysis["decay_fit"]
-        _check_lines("analysis.decay_fit.line", (fit_cfg.get("line"),))
-        edges = qd._decay_edges(drive, fit_cfg.get("bin_ps", qd._DECAY_BIN_PS))
+        _check_lines("analysis.decay_fit.line", (fit_cfg["line"],))
+        edges = qd._decay_edges(drive, fit_cfg["bin_ps"])
         t_start, t_stop = (
             number(fit_cfg[k], f"analysis.decay_fit.{k}") for k in ("t_start", "t_stop")
         )
@@ -313,7 +326,7 @@ def cmd_hbt(config, seed):
     }
     text = f"g2(0) measured = {summary['g2_zero_measured']:.4f}"
     # Eq. (1) is the law of a single emitter, which only a qd source is
-    if config.get("source", "qd") == "qd":
+    if config["source"] == "qd":
         summary["g2_zero_eq1_prediction"] = hbt.g2_zero_closed_form(
             rates["signal_rate_per_ns"], rates["noise_rate_per_ns"]
         )
@@ -324,8 +337,7 @@ def cmd_hbt(config, seed):
         summary["peak_area_zero"] = areas.area(0)
         summary["peak_area_one"] = areas.area(1)
     if "decay_fit" in analysis:
-        profile_cfg = {k: v for k, v in fit_cfg.items() if k in ("line", "bin_ps")}
-        centers, counts = qd.decay_profile(record, drive, **profile_cfg)
+        centers, counts = qd.decay_profile(record, drive, fit_cfg["line"], fit_cfg["bin_ps"])
         summary["fitted_decay_ns"] = qd.fit_decay_time(centers, counts, t_start, t_stop)
     return summary, files, text
 
@@ -334,7 +346,7 @@ def cmd_cross_corr(config, seed):
     lines = config.get("lines")
     if not (isinstance(lines, list) and len(lines) == 2):
         raise InvalidInput("config needs 'lines': [start_line, stop_line]")
-    sample, duration, _, _ = _source_from_config(config)
+    sample, duration, _, _ = _SOURCES[config["source"]][0](config)
     _, hist, _ = _correlated(config, seed, sample, duration, "lines", lines)
     g2, n = hist.g2(), hist.counts.size
     # the halves either side of tau = 0; the centred bin of an odd n is in neither
@@ -360,29 +372,26 @@ def cmd_throughput(config, seed):
     return {**factors, "throughput_ratio": ratio}, {}, text
 
 
-# Each command's handler and the config keys it reads, by nesting level: None
-# marks a value, a dict a block, a dataclass a block whose keys are its fields,
-# and a function the keys that depend on the config itself.
+# Each command's handler and the config keys it reads, by nesting level, with
+# the defaults that fill what a config leaves out: a dict marks a block, filled
+# even when left out unless ``_Optional``; None a value with no default; any
+# other value a value's default, taken from the dataclass or function the block
+# feeds where there is one.  A function in place of the keys reads them off the
+# config.
 _COMMANDS = {
     "emission-pattern": (
         cmd_emission_pattern,
         {
-            "homogeneous": _leaves(("refractive_index",)),
-            "design": CavityDesign,
-            "pattern": _leaves(("angular_resolution", "include_guided_spike")),
-            "numerical_aperture": None,
+            "homogeneous": _Optional(refractive_index=1.0),
+            "design": _Optional(_fields(CavityDesign)),
+            "pattern": _keywords(dipole.emission_pattern),
+            "numerical_aperture": 0.5,
         },
     ),
     "cavity-sweep": (cmd_cavity_sweep, _sweep_keys),
     "hbt": (
         cmd_hbt,
-        lambda config: {
-            **_source_keys(config),
-            "analysis": {
-                "m_far": None,
-                "decay_fit": _leaves(("line", "bin_ps", "t_start", "t_stop")),
-            },
-        },
+        lambda config: {**_source_keys(config), "analysis": _ANALYSIS_KEYS},
     ),
     "cross-corr": (cmd_cross_corr, lambda config: {**_source_keys(config), "lines": None}),
     "throughput": (cmd_throughput, {"factors": _leaves(_THROUGHPUT_FACTORS)}),
@@ -405,10 +414,10 @@ def _build_parser():
 
 
 class _Block(dict):
-    """A config block that names a missing key by its dotted path.  It is
-    copied key by key, and the first key, at any nesting level, that the
+    """A resolved config block that names a missing key by its dotted path.
+    It is copied key by key, and the first key, at any nesting level, that the
     command does not read (``known``) is rejected, as is a block that is not
-    a JSON object."""
+    a JSON object.  Then each key left out is filled from ``known``."""
 
     def __init__(self, items, known, path=""):
         super().__init__()
@@ -417,11 +426,12 @@ class _Block(dict):
             if key not in known:
                 raise InvalidInput(f"unknown config key {path}{key}")
             sub = known[key]
-            if is_dataclass(sub):
-                sub = _leaves(f.name for f in fields(sub))
-            if sub is not None and not isinstance(value, dict):
+            if isinstance(sub, dict) and not isinstance(value, dict):
                 raise InvalidInput(f"config key {path}{key} must be a JSON object, got {value!r}")
-            self[key] = value if sub is None else _Block(value, sub, f"{path}{key}.")
+            self[key] = _Block(value, sub, f"{path}{key}.") if isinstance(sub, dict) else value
+        for key, sub in known.items():
+            if key not in self and sub is not None and not isinstance(sub, _Optional):
+                self[key] = _Block({}, sub, f"{path}{key}.") if isinstance(sub, dict) else sub
 
     def __missing__(self, key):
         raise InvalidInput(f"missing config key {self.path}{key}")
@@ -438,6 +448,7 @@ def _merged(base, overrides):
 
 
 def _load_config(args):
+    """The resolved config of a run: every key the command reads, defaults filled in."""
     if args.config is None and args.preset is None:
         raise InvalidInput("provide --preset and/or --config")
     config = {}
@@ -455,6 +466,8 @@ def _load_config(args):
                 f"not a {type(overrides).__name__}"
             )
         config = _merged(config, overrides)
+    if args.seed is not None:
+        config["seed"] = args.seed  # so the config holds the seed that runs
     declared = config.get("command")
     if declared is not None and declared != args.command:
         raise InvalidInput(
@@ -463,7 +476,7 @@ def _load_config(args):
     keys = _COMMANDS[args.command][1]
     if callable(keys):
         keys = keys(config)
-    return _Block(config, {"command": None, "seed": None, **keys})
+    return _Block(config, {"command": None, "seed": 0, **keys})
 
 
 def main(argv=None):
@@ -471,8 +484,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        number(seed, "seed", low=0, integer=True)
+        seed = number(config["seed"], "seed", low=0, integer=True)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -397,14 +397,15 @@ def _pooled_record(segments, drive, rng):
         used[s] = i + 1
         k += step
         s = to
+    lens[-1] -= k - n  # the last run stops at the record's last period
 
     start_state = np.repeat(np.array(path, dtype=np.int8), lens)  # per period walked
     # The period index is int32, half int64's bytes: freed, a larger one lifts
     # malloc's mmap threshold, and the process's peak memory with it
-    index_type = np.int32 if k < 2**31 else np.int64  # k periods walked
+    index_type = np.int32 if n < 2**31 else np.int64  # n periods walked
     parts = []
     for state in range(n_states):
-        periods = np.arange(k, dtype=index_type)[start_state == state]  # take s's paths
+        periods = np.arange(n, dtype=index_type)[start_state == state]  # take s's paths
         for counts, times, codes in drawn[state]:
             ks, periods = periods[: counts.size], periods[counts.size:]
             m = int(counts[: ks.size].sum())

@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import time
+from dataclasses import MISSING, fields
 from itertools import count
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speds import cli
+from speds import cli, dipole, hbt, qd
+from speds.designer import CavityDesign, optimize_top_mirror, sweep_bottom_mirror
 from speds.errors import InvalidInput, NumericalFailure
 from speds.presets import available_presets, load_preset
 
@@ -582,15 +585,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def preset_leaves(block, path=()):
-    """The key paths of a config's values, nested blocks walked, ``command`` left out."""
-    for key, value in block.items():
-        if isinstance(value, dict):
-            yield from preset_leaves(value, path + (key,))
-        elif path + (key,) != ("command",):
-            yield path + (key,)
-
-
 def json_kind(value):
     """A config value's JSON type, ints and floats both being numbers."""
     if isinstance(value, bool):
@@ -601,6 +595,67 @@ def json_kind(value):
 FUZZ_VALUES = (0, -1, math.nan, math.inf, -math.inf, 1e300, 1e-300, "x", [], {}, True)
 
 
+def leaf_values(block, path=()):
+    """{key path: value} of a config's values, nested blocks walked."""
+    values = {}
+    for key, value in block.items():
+        if isinstance(value, dict):
+            values.update(leaf_values(value, path + (key,)))
+        else:
+            values[path + (key,)] = value
+    return values
+
+
+def under(block, values):
+    """``values`` keyed by their key paths inside ``block``."""
+    return {(*block, key): value for key, value in values.items()}
+
+
+def field_defaults(cls):
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def keyword_defaults(fn):
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+# The default of each key path a command's config may leave out, read where
+# it is declared: a dataclass field, a keyword parameter, or the CLI's own.
+SOURCE_DEFAULTS = {
+    ("seed",): 0,
+    ("source",): "qd",
+    **under(("model",), field_defaults(qd.QDModel)),
+    **under(("drive",), field_defaults(qd.DriveProgram)),
+    **under(("detectors",), field_defaults(hbt.DetectorPair)),
+}
+DECLARED_DEFAULTS = {
+    "emission-pattern": {
+        ("seed",): 0,
+        ("numerical_aperture",): 0.5,
+        ("homogeneous", "refractive_index"): 1.0,
+        **under(("design",), field_defaults(CavityDesign)),
+        **under(("pattern",), keyword_defaults(dipole.emission_pattern)),
+    },
+    "cavity-sweep": {
+        ("seed",): 0,
+        ("study",): "bottom",
+        **under((), keyword_defaults(sweep_bottom_mirror)),
+        **under((), keyword_defaults(optimize_top_mirror)),
+    },
+    "hbt": {
+        **SOURCE_DEFAULTS,
+        **under(("analysis", "decay_fit"), keyword_defaults(qd.decay_profile)),
+    },
+    "cross-corr": SOURCE_DEFAULTS,
+    "throughput": {("seed",): 0},
+}
+
+
+def resolve(command, *flags):
+    return cli._load_config(cli._build_parser().parse_args([command, *flags]))
+
+
 class TestConfigContract:
     @pytest.mark.parametrize("preset", available_presets())
     def test_one_bad_leaf_exits_0_2_or_3(self, tmp_path, capsys, preset):
@@ -609,9 +664,10 @@ class TestConfigContract:
         naming its key."""
         config = load_preset(preset)
         runs = count()
+        leaves = [path for path in leaf_values(config) if path != ("command",)]
 
         @settings(derandomize=True, max_examples=15, deadline=None, database=None)
-        @given(st.sampled_from(list(preset_leaves(config))), st.sampled_from(FUZZ_VALUES))
+        @given(st.sampled_from(leaves), st.sampled_from(FUZZ_VALUES))
         def run(path, value):
             block = override = {}
             for key in path[:-1]:
@@ -651,9 +707,74 @@ class TestConfigMerge:
 
     @pytest.mark.parametrize("name", available_presets())
     def test_preset_keys_are_all_known(self, name):
+        # every preset value passes through as it is; each value added is a default
+        preset = leaf_values(load_preset(name))
+        resolved = leaf_values(resolve(preset[("command",)], "--preset", name))
+        assert {path: resolved[path] for path in preset} == preset
+        declared = DECLARED_DEFAULTS[preset[("command",)]]
+        added = {path: value for path, value in resolved.items() if path not in preset}
+        assert added == {path: declared[path] for path in added}
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize(
+        "command,config,unread",
+        [
+            ("emission-pattern", {"homogeneous": {}}, [("design",)]),
+            ("emission-pattern", {"design": {"bottom_periods": 20}}, [("homogeneous",)]),
+            ("cavity-sweep", {}, [("bottom_periods",), ("max_top",), ("numerical_aperture",)]),
+            ("cavity-sweep", {"study": "top"}, [("max_periods",), ("numerical_apertures",)]),
+            ("hbt", {"analysis": {"decay_fit": {}}}, []),
+            ("hbt", {"drive": {"mode": "DC"}},
+             [("analysis",), ("drive", "repetition_rate"), ("drive", "pulse_width"),
+              ("drive", "sweep_out_regime"), ("drive", "sweep_delay")]),
+            ("cross-corr", {}, []),
+            ("throughput", {}, []),
+        ],
+        ids=["homogeneous", "design", "bottom-study", "top-study", "qd-decay-fit", "dc-drive",
+             "cross-corr", "throughput"],
+    )
+    def test_each_filled_default_equals_its_declaration(self, tmp_path, command, config, unread):
+        # every default the command reads is filled in, as it is declared, and no other
+        resolved = leaf_values(resolve(command, "--config", write_config(tmp_path, config)))
+        given = leaf_values(config)
+        filled = {path: value for path, value in resolved.items() if path not in given}
+        assert filled == {
+            path: value for path, value in DECLARED_DEFAULTS[command].items()
+            if path not in given and not any(path[:len(u)] == u for u in unread)
+        }
+
+    def test_seed_flag_is_written_into_the_config(self):
+        assert resolve("hbt", "--preset", "dc_eq1", "--seed", "99")["seed"] == 99
+
+    @pytest.mark.parametrize("name", available_presets())
+    def test_resolved_config_resolves_to_itself(self, tmp_path, name):
+        # JSON holds a tuple default as a list, so both sides pass through it
+        resolved = resolve(load_preset(name)["command"], "--preset", name)
+        path = write_config(tmp_path, resolved)
+        again = resolve(resolved["command"], "--config", path)
+        assert json.loads(json.dumps(again)) == json.loads(json.dumps(resolved))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["exclusion_x_marker", "fig5_sweep", "fig6a_no_cavity", "fig6b_cavity",
+         "fig8_full_reset", "fig8_jitter", "homogeneous", "laser_80mhz", "throughput_ghz",
+         "top_mirror_study"],
+    )
+    def test_resolved_config_writes_the_preset_bytes(self, tmp_path, capsys, name):
         command = load_preset(name)["command"]
-        args = cli._build_parser().parse_args([command, "--preset", name])
-        assert cli._load_config(args) == load_preset(name)
+        path = write_config(tmp_path, resolve(command, "--preset", name))
+        runs = {"preset": ["--preset", name], "resolved": ["--config", path]}
+        printed = {}
+        for run, flags in runs.items():
+            assert cli.main([command, *flags, "--out", str(tmp_path / run)]) == 0
+            printed[run] = capsys.readouterr().out
+        assert printed["resolved"] == printed["preset"]
+        written = sorted(p.name for p in (tmp_path / "preset").iterdir())
+        assert sorted(p.name for p in (tmp_path / "resolved").iterdir()) == written
+        for file in written:
+            assert ((tmp_path / "resolved" / file).read_bytes()
+                    == (tmp_path / "preset" / file).read_bytes())
 
 
 class TestRuns:

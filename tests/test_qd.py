@@ -280,6 +280,29 @@ class TestPulsedSampler:
         assert rec.times(LINE_X).size == 1
         assert rec.time_ns[-1] == rec.times(LINE_X)[0]
 
+    @pytest.mark.parametrize("preset", ["ghz_ideal", "fig10_shelving"])
+    def test_the_walk_stops_at_the_last_period(self, monkeypatch, preset):
+        # at their own seeds the last run of these presets reaches past the
+        # record; the walk cuts it there, so no period past the record is gathered
+        walked = []
+
+        class Numpy:  # numpy, as qd sees it, with the lengths of the start states read
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def repeat(a, repeats):
+                out = np.repeat(a, repeats)
+                if out.dtype == np.int8:  # one start state per period walked
+                    walked.append(out.size)
+                return out
+
+        monkeypatch.setattr(qd, "np", Numpy())
+        config = load_preset(preset)
+        drive = DriveProgram(**config["drive"])
+        simulate(QDModel(**config["model"]), drive, config["seed"])
+        assert walked == [int(np.ceil(drive.duration / drive.period))]
+
     def test_each_period_takes_the_next_unused_path_of_its_start_state(self, monkeypatch):
         # the pool rule, exactly, as a plain loop over the periods and the
         # paths the walk drew; small chunks give every state a pool of several
