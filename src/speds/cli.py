@@ -270,7 +270,7 @@ def _correlated(config, seed, sample, duration, key, lines):
     corr_cfg = config["correlation"]
     hbt._correlation_edges(corr_cfg["window"], corr_cfg["bin_width"])
     record = sample(seed)
-    signal = record.times(config.get("line_filter")).size
+    signal = np.count_nonzero(record.mask(config.get("line_filter")))
     signal_per_ns = signal / record.duration
     if ratio is not None:
         key = "noise_to_signal_ratio" if config.get("target_g2_zero") is None else "target_g2_zero"

@@ -313,9 +313,13 @@ def _period_paths(segments, start, lanes, rng):
     Gillespie step, one phase segment at a time.  A lane leaves a segment
     once its next jump falls past the segment's end, where the rates change
     and the memoryless wait is redrawn, or once its state has no way out.
-    Returns (end state per lane, photons per lane as uint32, photon times
-    within the period, line codes), the photons grouped by lane in time
-    order.
+    Each step draws one wait and then one branch per live lane.  The live
+    lanes are held by index: a step that loses lanes takes the indices of
+    those that stay and of those that leave by ``np.flatnonzero``, gathers
+    the staying lanes' state, time and lane number, and writes the leaving
+    lanes' end states; the emitting lanes are taken by index too.  Returns
+    (end state per lane, photons per lane as uint32, photon times within
+    the period, line codes), the photons grouped by lane in time order.
     """
     end = np.full(lanes, start, dtype=np.int8)
     lane_hits, time_hits, code_hits = [], [], []
@@ -326,11 +330,12 @@ def _period_paths(segments, start, lanes, rng):
             t += rng.standard_exponential(lane.size) * dwell[state]
             go = t < seg_end
             if not go.all():
-                end[lane[~go]] = state[~go]
-                lane, state, t = lane[go], state[go], t[go]
+                leave, live = np.flatnonzero(~go), np.flatnonzero(go)
+                end[lane[leave]] = state[leave]
+                lane, state, t = lane[live], state[live], t[live]
             branch = np.searchsorted(bounds, state + rng.random(lane.size), side="right")
             code = lines[branch]
-            emit = code >= 0
+            emit = np.flatnonzero(code >= 0)
             lane_hits.append(lane[emit])
             time_hits.append(t[emit])
             code_hits.append(code[emit])
@@ -353,38 +358,38 @@ def _pooled_record(segments, drive, rng):
     at most ``_LANES`` paths at a time, sized from the visit rate seen so
     far.
 
-    Within s's pool the paths that end outside s close the runs of s: the
-    i-th run of s lasts ``run_len[s][i]`` periods and moves to
-    ``leave_to[s][i]``, so the walk makes one step per state change; the
-    last run may end inside a pool's tail of self-loops.  Expanded, the runs
-    give each period's start state.  A photon's time is its period's start
-    plus its time within the period, so one stable sort on the times merges
-    the states' photons into period order.
+    Within s's pool the paths that end outside s close the runs of s: each
+    run lasts some periods and then moves to another state, so the walk
+    makes one step per state change.  It reads s's unused runs, as (length,
+    next state), through one iterator, ``runs[s]``, which ``grow`` replaces
+    with the new chunk's runs once it is spent; the last run may end inside
+    a pool's tail of self-loops.  Expanded, the runs give each period's
+    start state.  A photon's time is its period's start plus its time within
+    the period, so one stable sort on the times merges the states' photons
+    into period order.
     """
     period, n = drive.period, int(np.ceil(drive.duration / drive.period))
     n_states = segments[0][2].size
     size, last_leave = [0] * n_states, [-1] * n_states
-    run_len, leave_to = [[] for _ in range(n_states)], [[] for _ in range(n_states)]
+    runs = [iter(()).__next__] * n_states  # each state's unused (length, next state) runs
     drawn = [[] for _ in range(n_states)]  # (counts, times, codes) per chunk
 
     def grow(s, lanes):
         end, counts, times, codes = _period_paths(segments, s, lanes, rng)
         out = np.flatnonzero(end != s)
         leaves = out + size[s]  # their places in the pool
-        run_len[s] += np.diff(leaves, prepend=last_leave[s]).tolist()
-        leave_to[s] += end[out].tolist()
+        runs[s] = zip(np.diff(leaves, prepend=last_leave[s]).tolist(), end[out].tolist()).__next__
         if leaves.size:
             last_leave[s] = int(leaves[-1])
         size[s] += lanes
         drawn[s].append((counts, times, codes))
 
-    used, path, lens = [0] * n_states, [], []  # each run's state and length, in walk order
+    path, lens = [], []  # each run's state and length, in walk order
     k, s = 0, _EMPTY
     while k < n:
-        i = used[s]
-        if i < len(run_len[s]):
-            step, to = run_len[s][i], leave_to[s][i]
-        else:  # every run drawn for s is used
+        try:
+            step, to = runs[s]()
+        except StopIteration:  # every run drawn for s is used
             loops = size[s] - 1 - last_leave[s]  # self-loops after the last run
             if loops < n - k:
                 # s's visits still to come at its visit rate so far, with 10 % to spare
@@ -394,7 +399,6 @@ def _pooled_record(segments, drive, rng):
             step, to = n - k, s  # the walk ends inside them, one last run of s
         path.append(s)
         lens.append(step)
-        used[s] = i + 1
         k += step
         s = to
     lens[-1] -= k - n  # the last run stops at the record's last period

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -80,6 +81,35 @@ class TestDeterminism:
         model = QDModel()
         drive = DriveProgram(duration=1e4)
         assert not same_record(simulate(model, drive, seed=7), simulate(model, drive, seed=8))
+
+    # sha256 of time_ns.tobytes() + line_code.tobytes() at each preset's own
+    # seed: a change to the RNG stream must update these and say so in CHANGES.md
+    @pytest.mark.parametrize(
+        "preset,lanes,digest",
+        [
+            ("dc_eq1", None, "af0bf6bb088e9d14ea32832271d7fb7984788995ea30131757ff5ca942b3ca61"),
+            ("ghz_ideal", None,
+             "fbb60e2e3d5859955989e831708ef0b50a0f15cb3f183b7b76afc380252158b0"),
+            ("fig10_shelving", None,
+             "cd0e0f4e45c415aeebdaf2e06eca52a8d8615871f5e646487bc78428d6d1e334"),
+            ("fig8_jitter", None,
+             "94d150aa43356511056edce7563dfa399e575967a2dd2a8bc1c399f01bbca5ec"),
+            ("fig8_full_reset", None,
+             "c6ff2a24eba9d1fc440d83b80d6e2b567e8e2a3d6baee168416c59bf9ff5d670"),
+            # small chunks: the EMPTY and X pools grow 163 and 46 times
+            ("ghz_ideal", 1 << 9,
+             "5572a4911320708afa0b837586b5c23754b5a6bd0bfc46376eca79bc3382036a"),
+        ],
+        ids=["dc_eq1", "ghz_ideal", "fig10_shelving", "fig8_jitter", "fig8_full_reset",
+             "ghz_ideal-512-lanes"],
+    )
+    def test_preset_records_keep_their_bytes(self, monkeypatch, preset, lanes, digest):
+        if lanes is not None:
+            monkeypatch.setattr(qd, "_LANES", lanes)
+        config = load_preset(preset)
+        rec = simulate(QDModel(**config["model"]), DriveProgram(**config["drive"]), config["seed"])
+        data = rec.time_ns.tobytes() + rec.line_code.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestColumnarRecord:
