@@ -404,10 +404,11 @@ def _build_parser():
         description="Planar-microcavity single-photon-diode simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    presets = f"one of: {', '.join(available_presets())}"
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help=f"one of: {', '.join(available_presets())}")
+        p.add_argument("--preset", help=presets)
         p.add_argument("--seed", type=int, help="override the config's seed")
         p.add_argument("--out", default=".", help="output directory")
     return parser

@@ -23,7 +23,7 @@ from .errors import InvalidInput, number
 from .qd import EmissionRecord
 
 _NS_PER_S = 1e9
-_PAIR_CHUNK = 1 << 20  # pairs histogrammed per call in correlate; bounds its memory
+_PAIR_CHUNK = 1 << 16  # starts per search block and pairs per histogram in correlate
 # Pairs one correlate call may histogram: about 30 s at the 3e7 pairs/s
 # measured on one Xeon core.  The presets pair at most 8e5.
 _MAX_PAIRS = 10**9
@@ -81,7 +81,7 @@ def detect(
         if noise > 0:
             extra = rng.uniform(0.0, duration, rng.poisson(noise * duration))
             clicks = np.concatenate([clicks, extra])
-        clicks = np.sort(clicks)
+        clicks.sort()  # a fresh array: the selection or the concatenation made it
         if detectors.dead_time > 0 and clicks.size:
             kept = [clicks[0]]
             for t_click in clicks[1:].tolist():
@@ -169,32 +169,43 @@ def correlate(
     high repetition rates are unbiased.  Requires bin_width <= window / 50
     and at most ``_MAX_CORRELATION_BINS`` bins; the histogram keeps the edges
     of its whole number of bins.  More than ``_MAX_PAIRS`` pairs within the
-    window are rejected before any is counted.
+    window are rejected before any is counted.  Beyond its inputs it holds
+    two index arrays over the starts and one chunk of at most ``_PAIR_CHUNK``
+    pairs (or one start's).
     """
     edges = _correlation_edges(window, bin_width)
     number(duration, "duration", above=0.0)
     a = np.asarray(clicks_a, dtype=float)
     b = np.asarray(clicks_b, dtype=float)
     counts = np.zeros(edges.size - 1)
-    # For each start, the relevant stops lie in [t_a - window, t_a + window].
-    lo = np.searchsorted(b, a - window, side="left")
-    hi = np.searchsorted(b, a + window, side="right")
-    # Pairs in one flat list: start i owns pairs first[i]:first[i + 1], whose
-    # stops are lo[i] onwards.
-    first = np.concatenate(([0], np.cumsum(hi - lo)))
-    if first[-1] > _MAX_PAIRS:
+    # For each start, the relevant stops b[lo[i]:hi[i]] lie in
+    # [t_a - window, t_a + window]; searched one block of starts at a time.
+    blocks = [slice(s, s + _PAIR_CHUNK) for s in range(0, a.size, _PAIR_CHUNK)]
+    lo = np.empty(a.size, np.int32 if b.size < 2**31 else np.int64)
+    hi = np.empty_like(lo)
+    for block in blocks:
+        lo[block] = np.searchsorted(b, a[block] - window, side="left")
+        hi[block] = np.searchsorted(b, a[block] + window, side="right")
+    pairs = hi.sum(dtype=np.int64) - lo.sum(dtype=np.int64)
+    if pairs > _MAX_PAIRS:
         raise InvalidInput(
-            f"window {window:g} ns holds {first[-1]:.3g} click pairs, "
+            f"window {window:g} ns holds {pairs:.3g} click pairs, "
             f"more than the cap of {_MAX_PAIRS:.0e}"
         )
-    stop_offset = lo - first[:-1]
-    s = 0
-    while s < a.size:  # chunks of at most _PAIR_CHUNK pairs, or of one start
-        e = max(int(np.searchsorted(first, first[s] + _PAIR_CHUNK, side="right")) - 1, s + 1)
-        start = np.repeat(np.arange(s, e), hi[s:e] - lo[s:e])
-        stop = np.arange(first[s], first[e]) + stop_offset[start]
-        counts += np.histogram(b[stop] - a[start], bins=edges)[0]
-        s = e
+    for block in blocks:
+        block_lo, block_a = lo[block], a[block]
+        n = hi[block] - block_lo
+        # the block's pairs in one flat list: start i owns first[i]:first[i + 1]
+        first = np.concatenate(([0], np.cumsum(n, dtype=np.int64)))
+        i = 0
+        while i < n.size:  # chunks of at most _PAIR_CHUNK pairs, or of one start
+            j = max(int(np.searchsorted(first, first[i] + _PAIR_CHUNK, side="right")) - 1, i + 1)
+            stop = np.repeat(block_lo[i:j] - first[i:j], n[i:j])
+            stop += np.arange(first[i], first[j])
+            delay = b[stop]
+            delay -= np.repeat(block_a[i:j], n[i:j])
+            counts += np.histogram(delay, bins=edges)[0]
+            i = j
     return CorrelationHistogram(edges, counts, len(a), len(b), duration, tuple(source_lines))
 
 

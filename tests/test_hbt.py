@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,33 @@ class TestCorrelate:
         monkeypatch.setattr(hbt_module, "_PAIR_CHUNK", 3)
         chunked = correlate(a, b, window=10.0, bin_width=0.1, duration=1e3).counts
         assert np.array_equal(whole, chunked)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_small_chunks_match_per_start_loop(self, monkeypatch, chunk):
+        rng = np.random.default_rng(38)
+        # unsorted starts; the one at 50 ns has a dense burst of stops, more
+        # pairs than any of the chunks
+        b = np.sort(np.concatenate([rng.uniform(0, 100.0, 300), np.linspace(49.0, 51.0, 20)]))
+        a = np.concatenate([rng.uniform(0, 100.0, 40), [50.0], rng.uniform(0, 100.0, 40)])
+        monkeypatch.setattr(hbt_module, "_PAIR_CHUNK", chunk)
+        h = correlate(a, b, window=2.0, bin_width=0.04, duration=100.0)
+        assert np.array_equal(h.counts, per_start_counts(a, b, 2.0, 0.04))
+        assert h.counts.sum() > 20
+
+    def test_memory_per_start_is_bounded(self):
+        # 1e6 sorted starts and stops, about one pair per start: the two
+        # per-start index arrays (int32) and one block's temporaries
+        rng = np.random.default_rng(39)
+        a = np.sort(rng.uniform(0, 1e6, 10**6))
+        b = np.sort(rng.uniform(0, 1e6, 10**6))
+        tracemalloc.start()  # traces only what correlate allocates
+        try:
+            h = correlate(a, b, window=0.5, bin_width=0.01, duration=1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.counts.sum() == pytest.approx(a.size, rel=0.01)
+        assert peak / a.size <= 16.0
 
     def test_pairs_over_the_cap_rejected_before_counting(self):
         # 1e5 clicks on each arm within one window: 1e10 pairs
