@@ -212,25 +212,29 @@ class _CavityFields:
         }
         self.swept = swept
 
-    def _amplitudes(self, side, kpar, kz_host, pol):
-        """(a, t) of one mirror, with a design axis if it is the swept one:
-        its reflection carried from the dipole to the mirror and back,
-        a = r exp(2i kz d), and its transmission t."""
+    def _amplitudes(self, side, kpar, kz_host):
+        """{polarization: (a, t)} of one mirror for TE and TM, with a design
+        axis if it is the swept one: its reflection carried from the dipole to
+        the mirror and back, a = r exp(2i kz d), and its transmission t.  The
+        round-trip phase is the same for both polarizations."""
         stack, distance = self.mirrors[side]
         rt = bragg_prefix_rt if side == self.swept else stack_rt
-        r, t = rt(stack, self.wl, kpar, pol, _IM_REG)
-        return r * np.exp(2j * kz_host * distance), t
+        phase = np.exp(2j * kz_host * distance)
+        amplitudes = {}
+        for pol in (TE, TM):
+            r, t = rt(stack, self.wl, kpar, pol, _IM_REG)
+            amplitudes[pol] = (r * phase, t)
+        return amplitudes
 
     def dissipation_integrand(self, chi):
         """Total-power integrand G(chi) so that P = Re integral G dchi."""
         s, c = np.sin(chi), np.cos(chi)
         kpar = self.n_host * self.k0 * s
         kz_host = self.n_host * self.k0 * c
-        a_up_te, a_dn_te, a_up_tm, a_dn_tm = (
-            self._amplitudes(side, kpar, kz_host, pol)[0]
-            for pol in (TE, TM)
-            for side in ("upper", "lower")
-        )
+        up = self._amplitudes("upper", kpar, kz_host)
+        dn = self._amplitudes("lower", kpar, kz_host)
+        (a_up_te, _), (a_dn_te, _) = up[TE], dn[TE]
+        (a_up_tm, _), (a_dn_tm, _) = up[TM], dn[TM]
         te = (1.0 + a_up_te) * (1.0 + a_dn_te) / (1.0 - a_up_te * a_dn_te)
         tm = (1.0 - a_up_tm) * (1.0 - a_dn_tm) / (1.0 - a_up_tm * a_dn_tm)
         return 0.75 * s * (te + c ** 2 * tm)
@@ -267,9 +271,11 @@ class _CavityFields:
             * np.cos(theta_rad) ** 2
         )
         floor2 = _DENOM_FLOOR ** 2
+        same_amplitudes = self._amplitudes(same, kpar, kz_host)
+        opp_amplitudes = self._amplitudes(opp, kpar, kz_host)
         for pol, sign in ((TE, +1.0), (TM, -1.0)):
-            a_same, t_same = self._amplitudes(same, kpar, kz_host, pol)
-            a_opp, _ = self._amplitudes(opp, kpar, kz_host, pol)
+            a_same, t_same = same_amplitudes[pol]
+            a_opp, _ = opp_amplitudes[pol]
             denom = np.abs(1.0 - a_same * a_opp) ** 2 + floor2
             num = np.abs(1.0 + sign * a_opp) ** 2 * np.abs(t_same) ** 2
             if pol == TE:

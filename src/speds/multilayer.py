@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from numpy.lib.scimath import sqrt as csqrt
 
 from .errors import InvalidInput, number
 
@@ -79,15 +78,15 @@ class LayerStack:
 
 def kz_normal(n, k0, kpar):
     """Layer-normal wavevector on the physical branch (vectorized over kpar)."""
-    # Principal csqrt already gives Im >= 0 for passive media and +i|kz| for
-    # evanescent waves in lossless ones; it is also the analytic continuation
-    # used by the complex-contour dissipation integral.
-    return csqrt((n * k0) ** 2 - np.asarray(kpar, dtype=complex) ** 2)
+    # The principal complex square root already gives Im >= 0 for passive
+    # media and +i|kz| for evanescent waves in lossless ones; it is also the
+    # analytic continuation used by the complex-contour dissipation integral.
+    return np.sqrt((n * k0) ** 2 - np.asarray(kpar, dtype=complex) ** 2)
 
 
 def _interface_rt(n1, n2, kz1, kz2, polarization):
     if n1 == n2:  # no interface; the formulas below are 0/0 at kz = 0
-        return 0.0, 1.0
+        return np.zeros_like(kz1), np.ones_like(kz1)
     if polarization == TE:
         denom = kz1 + kz2
         r = (kz1 - kz2) / denom
@@ -99,12 +98,30 @@ def _interface_rt(n1, n2, kz1, kz2, polarization):
     return r, t
 
 
+def _product(a, b):
+    """The 2x2 matrix product a . b, each matrix as its four components."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (
+        a00 * b00 + a01 * b10,
+        a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10,
+        a10 * b01 + a11 * b11,
+    )
+
+
 def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts):
     """(r, t) of the stack's first ``c`` layers closed by its exit medium, one
     pair per ``c`` in the ascending ``cuts``, from one pass over the layers.
 
     The leading c layers of a stack are the same whatever follows them, so the
-    running product up to layer c is shared by every cut at or after it.
+    running product up to layer c is shared by every cut at or after it.  The
+    product starts at the first layer's matrix, so with no layers before a cut
+    its (r, t) is the exit interface's own.  It is taken two layers at a time,
+    one Bragg period, and each distinct two-layer block is built once per pass
+    from the cached layer steps; an odd last layer is taken alone.  A cut
+    closes the product M with the exit interface (r_e, t_e) written out:
+    r = (m10 + m11 r_e) / (m00 + m01 r_e), t = t_e / (m00 + m01 r_e).
     """
     number(vacuum_wavelength, "vacuum_wavelength", above=0.0)
     if polarization not in (TE, TM):
@@ -117,41 +134,47 @@ def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts)
     # A Bragg stack repeats two indices: one kz array per distinct medium.
     kz = {n: kz_normal(n, k0, kpar) for n in set(indices) | {stack.exit_index}}
     # ... and repeats each (interface, layer) step every period: one matrix
-    # I(n1, n2) . P per distinct step.
+    # I(n1, n2) . P per distinct step, P the propagation through the n2 layer
+    # of this thickness, and one product of two steps per distinct block.
+    thicknesses = [layer.thickness for layer in stack.layers]
+    keys = list(zip(indices, indices[1:], thicknesses))
     steps = {}
+    blocks = {}
+    exits = {}
 
-    def step(m, n1, n2, thickness):
-        # M <- M . I(n1, n2) . P, P the propagation through the n2 layer of
-        # this thickness (none for the exit interface, thickness None)
-        key = (n1, n2, thickness)
+    def step(key):
         if key not in steps:
+            n1, n2, thickness = key
             r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
-            if thickness is None:
-                pf = pb = 1.0
-            else:
-                delta = kz[n2] * thickness
-                pf = np.exp(-1j * delta)
-                pb = np.exp(+1j * delta)
+            delta = kz[n2] * thickness
+            pf = np.exp(-1j * delta)
+            pb = np.exp(+1j * delta)
             steps[key] = (pf / t, pb * r / t, pf * r / t, pb / t)
-        a00, a01, a10, a11 = steps[key]
-        m00, m01, m10, m11 = m
-        return (
-            m00 * a00 + m01 * a10,
-            m00 * a01 + m01 * a11,
-            m10 * a00 + m11 * a10,
-            m10 * a01 + m11 * a11,
-        )
+        return steps[key]
 
-    # 2x2 transfer matrix as four broadcastable components.
-    m = (np.ones_like(kpar), np.zeros_like(kpar), np.zeros_like(kpar), np.ones_like(kpar))
+    def block(pair):
+        if pair not in blocks:
+            blocks[pair] = step(pair[0]) if len(pair) == 1 else _product(*map(step, pair))
+        return blocks[pair]
+
+    m = None
     out = []
     done = 0
     for cut in cuts:
-        for j in range(done, cut):
-            m = step(m, indices[j], indices[j + 1], stack.layers[j].thickness)
+        for j in range(done, cut, 2):
+            b = block(tuple(keys[j:min(j + 2, cut)]))
+            m = b if m is None else _product(m, b)
         done = cut
-        m00, _, m10, _ = step(m, indices[cut], stack.exit_index, None)
-        out.append((m10 / m00, 1.0 / m00))
+        n1, n2 = indices[cut], stack.exit_index
+        if n1 not in exits:
+            exits[n1] = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
+        r_e, t_e = exits[n1]
+        if m is None:
+            out.append((r_e, t_e))
+        else:
+            m00, m01, m10, m11 = m
+            den = m00 + m01 * r_e
+            out.append(((m10 + m11 * r_e) / den, t_e / den))
     return out
 
 

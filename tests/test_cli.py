@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -804,6 +805,30 @@ class TestRuns:
             summary["total_power"], rel=1e-12
         )
         assert summary["guided_power"] > 0.0
+
+    # sha256 of each optics preset's table: a change to the transfer-matrix
+    # product order that moves a printed digit must update these and say so
+    # in CHANGES.md
+    @pytest.mark.parametrize(
+        "command,preset,table,digest",
+        [
+            ("emission-pattern", "fig6a_no_cavity", "emission_pattern.csv",
+             "45a05de891e8a5e81e6fc7468ec11cf7d3796fc2ae0ba7ed7f3a382e033e1db7"),
+            ("emission-pattern", "fig6b_cavity", "emission_pattern.csv",
+             "986dfcbf625a345569ae6417d938db45eab53caaf4a048b97c62209d77850330"),
+            ("emission-pattern", "homogeneous", "emission_pattern.csv",
+             "011058037bf261d97cd949c31078551f4ba05895f149a55af9a5eea8583642d4"),
+            ("cavity-sweep", "fig5_sweep", "fig5_geometry_NA0.5.csv",
+             "cf57078cb91f1b5c489189e83426991c88751742742147a34fc99a8e125ef774"),
+            ("cavity-sweep", "top_mirror_study", "top_mirror_geometry.csv",
+             "47341f88dae7af043cfbf02dc2aaf282bcb75ff214377917a35408ac6e34f9f8"),
+        ],
+        ids=["fig6a_no_cavity", "fig6b_cavity", "homogeneous", "fig5_sweep", "top_mirror_study"],
+    )
+    def test_optics_presets_keep_their_table_bytes(self, tmp_path, command, preset, table,
+                                                   digest):
+        assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / table).read_bytes()).hexdigest() == digest
 
     def test_hbt_writes_histogram_and_summary(self, tmp_path):
         path = write_config(tmp_path, small_hbt_config())

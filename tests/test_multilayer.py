@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib import scimath
 
 from oracles import dbr_reflectance, solve_stack, stack_flux
 from speds.errors import InvalidInput
@@ -11,6 +12,7 @@ from speds.multilayer import (
     TM,
     Layer,
     LayerStack,
+    _interface_rt,
     bragg_prefix_rt,
     build_bragg,
     kz_normal,
@@ -57,6 +59,33 @@ class TestFresnel:
         kz = kz_normal(1.0, k0, 2.0 * k0)  # evanescent
         assert kz.real == pytest.approx(0.0, abs=1e-12)
         assert kz.imag > 0
+
+    @pytest.mark.parametrize("n", [1.0, N_GAAS, 3.5 + 0.4j, N_ALAS + 1e-6j])
+    @pytest.mark.parametrize("kind", ["real", "contour"])
+    def test_kz_is_the_principal_complex_root(self, n, kind):
+        # the real k-parallel runs past n k0 for every n: evanescent points too
+        kpar, k0 = TestBraggPrefix.KPAR[kind], TestBraggPrefix.K0
+        expected = scimath.sqrt((n * k0) ** 2 - kpar.astype(complex) ** 2)
+        assert np.array_equal(kz_normal(n, k0, kpar), expected)
+
+    @pytest.mark.parametrize("pol", [TE, TM])
+    @pytest.mark.parametrize("kind", ["real", "contour"])
+    @pytest.mark.parametrize("n1,n2", [(N_GAAS, 1.0), (1.0, N_GAAS), (N_GAAS, N_ALAS + 1e-6j)])
+    def test_bare_interface_is_the_interface_formula(self, n1, n2, kind, pol):
+        kpar, k0 = TestBraggPrefix.KPAR[kind], TestBraggPrefix.K0
+        r, t = stack_rt(LayerStack(n1, (), n2), LAM, kpar, pol)
+        kz1, kz2 = kz_normal(n1, k0, kpar), kz_normal(n2, k0, kpar)
+        r_i, t_i = _interface_rt(complex(n1), complex(n2), kz1, kz2, pol)
+        assert np.array_equal(r, r_i) and np.array_equal(t, t_i)
+
+    @pytest.mark.parametrize("pol", [TE, TM])
+    @pytest.mark.parametrize("kind", ["real", "contour"])
+    def test_equal_media_give_no_reflection(self, kind, pol):
+        kpar = TestBraggPrefix.KPAR[kind]
+        r, t = stack_rt(LayerStack(N_GAAS, (), N_GAAS), LAM, kpar, pol)
+        for value, expected in ((r, 0.0), (t, 1.0)):
+            assert value.shape == kpar.shape and value.dtype == complex
+            assert np.all(value == expected)
 
 
 class TestStack:
@@ -189,6 +218,15 @@ class TestNonPeriodicStacks:
         "absorbing": LayerStack(
             1.0, (Layer(80.0, 2.0), Layer(30.0, 3.5 + 0.4j), Layer(80.0, 2.0),
                   Layer(45.0, 3.5 + 0.4j)), N_GAAS),
+        # 3 Bragg periods and a GaAs cap: repeated two-layer blocks, then an odd
+        # last layer taken alone, into a GaAs exit
+        "bragg-and-cap": LayerStack(
+            1.0, build_bragg(N_GAAS, N_ALAS, LAM, 3).layers + (Layer(70.0, N_GAAS),), N_GAAS),
+        # two-layer blocks with the same indices and first thickness, each with
+        # its own second thickness
+        "blocks-second-thickness": LayerStack(
+            1.5, (Layer(100.0, 2.0), Layer(60.0, 1.5), Layer(100.0, 2.0),
+                  Layer(140.0, 1.5)), 1.0),
     }
     # propagating in the entry (air) and exit media, 5 to 80 degrees in air
     KPAR = 2.0 * np.pi / LAM * np.sin(np.radians(np.linspace(5.0, 80.0, 16)))
