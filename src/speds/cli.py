@@ -1,7 +1,8 @@
 """Command-line front end: presets and custom JSON configs to CSV/JSON results.
 
-One subcommand per entry of ``_COMMANDS``.  Every run is deterministic given
-(config, seed); all outputs land in --out, and a run that fails writes none.
+One command per entry of ``_COMMANDS``, all taking the same four options.
+Every run is deterministic given (config, seed); all outputs land in --out,
+and a run that fails writes none.
 Exit codes: 0 success, 2 usage/config error (``InvalidInput`` or
 ``UnsupportedInput``), 3 numerical failure (``NumericalFailure``); any other
 exception is a bug and ends in a traceback.
@@ -399,18 +400,17 @@ _COMMANDS = {
 
 
 def _build_parser():
+    """One parser for every command: the command and the four options that all
+    commands share, in any order."""
     parser = argparse.ArgumentParser(
         prog="speds",
         description="Planar-microcavity single-photon-diode simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    presets = f"one of: {', '.join(available_presets())}"
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help=presets)
-        p.add_argument("--seed", type=int, help="override the config's seed")
-        p.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--preset", help=f"one of: {', '.join(available_presets())}")
+    parser.add_argument("--seed", type=int, help="override the config's seed")
+    parser.add_argument("--out", default=".", help="output directory")
     return parser
 
 
@@ -499,8 +499,7 @@ def main(argv=None):
             summary["outputs"] = list(files)
             written.append(os.path.join(args.out, "summary.json"))
             with open(written[-1], "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             for path in written[:-1]:  # all but the write that failed
                 os.remove(path)

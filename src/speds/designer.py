@@ -16,6 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ._table import write_table
 from .dipole import DipoleSource, EmissionGeometry, mirror_sweep_efficiencies
 from .errors import InvalidInput, number
 from .multilayer import DESIGN_WAVELENGTH_NM, N_ALAS, N_GAAS, LayerStack, build_bragg
@@ -78,9 +79,9 @@ class SweepResult:
         return self.efficiencies[self.argmax]
 
     def to_csv(self, path):
-        table = np.column_stack((self.parameter_values, self.efficiencies))
-        np.savetxt(
-            path, table, fmt="%d,%.8e", header="periods,efficiency", comments="", newline="\r\n"
+        write_table(
+            path, "periods,efficiency", "%d,%.8e",
+            (self.parameter_values, self.efficiencies), newline="\r\n",
         )
 
 

@@ -21,6 +21,7 @@ from functools import cache
 
 import numpy as np
 
+from ._table import write_table
 from .errors import InvalidInput, NumericalFailure, UnsupportedInput, number
 from .multilayer import TE, TM, LayerStack, _check_index, bragg_prefix_rt, stack_rt
 
@@ -187,8 +188,7 @@ class AngularPowerSpectrum:
             f"# total_power = {self.total_power:.10e}\n"
             f"# guided_in_pattern = {int(self.guided_in_pattern)}\ntheta_deg,power_density"
         )
-        table = np.column_stack((self.theta_grid, self.power_density))
-        np.savetxt(path_or_buf, table, fmt="%.4f,%.10e", header=header, comments="")
+        write_table(path_or_buf, header, "%.4f,%.10e", (self.theta_grid, self.power_density))
 
 
 class _CavityFields:

@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._table import write_table
 from .errors import InvalidInput, number
 from .qd import EmissionRecord
 
@@ -129,8 +130,7 @@ class CorrelationHistogram:
             f"# source_lines = {line_a},{line_b}\n# n_a = {self.n_a}\n# n_b = {self.n_b}\n"
             f"# duration_ns = {self.duration:.9f}\ntau_ns,counts,g2_normalized"
         )
-        table = np.column_stack((self.tau_centers, self.counts, self.g2()))
-        np.savetxt(path, table, fmt="%.6f,%d,%.8e", header=header, comments="")
+        write_table(path, header, "%.6f,%d,%.8e", (self.tau_centers, self.counts, self.g2()))
 
 
 def _correlation_edges(window, bin_width):
@@ -245,9 +245,7 @@ class PeakAreas:
         return float(self.raw_counts[self._index(m)])
 
     def to_csv(self, path):
-        table = np.column_stack((self.orders, self.areas))
-        header = f"# m_far = {self.m_far}\nm,area"
-        np.savetxt(path, table, fmt="%d,%.8e", header=header, comments="")
+        write_table(path, f"# m_far = {self.m_far}\nm,area", "%d,%.8e", (self.orders, self.areas))
 
 
 def _peak_reach(edges, repetition_rate, m_far):

@@ -165,9 +165,10 @@ def _rate_table(model: QDModel, drive: DriveProgram):
     rate 0 dwells forever (``inf``).  ``bounds`` holds, state after state,
     s and s + each cumulative branch probability of state s but the last (1),
     and drops the leading 0, so a lane in state s with a uniform draw u takes
-    the branch at ``searchsorted(bounds, s + u, "right")`` of the next states
-    and lines, which list every state's branches in order; ``lines`` holds
-    the code of the photon each branch emits, or -1.
+    the branch at ``searchsorted(bounds, s + u, "right")`` (held to s's own
+    branches by ``_branch_lookup``) of the next states and lines, which list
+    every state's branches in order; ``lines`` holds the code of the photon
+    each branch emits, or -1.
     """
     if drive.mode == MODE_DC:
         phases, period = [(0.0, True, False)], np.inf
@@ -306,6 +307,24 @@ def _dc_record(segment, duration, rng):
     return EmissionRecord(times[:keep], codes[:keep], duration)
 
 
+def _branch_lookup(bounds, n_states):
+    """``pick(state, u)``: the branch that each lane in ``state`` takes on
+    its uniform draw ``u`` in [0, 1), ``searchsorted(bounds, state + u,
+    "right")`` held to the state's own branches.
+
+    For u within 2^-52 of 1 and s >= 1, ``s + u`` rounds up to s + 1, where
+    the search finds the next state's first branch; such a lane takes its own
+    last branch instead, as the draws just below would.
+    """
+    last = np.searchsorted(bounds, np.arange(1.0, n_states + 1.0))  # each state's last branch
+
+    def pick(state, u):
+        branch = np.searchsorted(bounds, state + u, side="right")
+        return np.minimum(branch, last[state], out=branch)
+
+    return pick
+
+
 def _period_paths(segments, start, lanes, rng):
     """``lanes`` i.i.d. paths through one period, each starting in ``start``.
 
@@ -326,6 +345,7 @@ def _period_paths(segments, start, lanes, rng):
     for seg_start, seg_end, dwell, bounds, next_states, lines in segments:
         lane, state = np.arange(lanes), end.copy()
         t = np.full(lanes, seg_start)
+        pick = _branch_lookup(bounds, dwell.size)
         while lane.size:
             t += rng.standard_exponential(lane.size) * dwell[state]
             go = t < seg_end
@@ -333,7 +353,7 @@ def _period_paths(segments, start, lanes, rng):
                 leave, live = np.flatnonzero(~go), np.flatnonzero(go)
                 end[lane[leave]] = state[leave]
                 lane, state, t = lane[live], state[live], t[live]
-            branch = np.searchsorted(bounds, state + rng.random(lane.size), side="right")
+            branch = pick(state, rng.random(lane.size))
             code = lines[branch]
             emit = np.flatnonzero(code >= 0)
             lane_hits.append(lane[emit])

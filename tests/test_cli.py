@@ -73,6 +73,40 @@ class TestPresets:
             assert "command" in load_preset(name)
 
 
+class TestUsage:
+    """One parser for every command: a positional command and four shared options."""
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"]], ids=["none", "unknown"])
+    def test_missing_or_unknown_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: speds")
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_exits_0_and_lists_every_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for word in ("--config", "--preset", "--seed", "--out", *cli._COMMANDS):
+            assert word in text
+
+    def test_options_parse_before_or_after_the_command(self, tmp_path, capsys):
+        flags = ["--preset", "throughput_ghz", "--seed", "7", "--out", str(tmp_path)]
+        parsed = [
+            vars(cli._build_parser().parse_args(argv))
+            for argv in (["throughput", *flags], [*flags, "throughput"],
+                         [*flags[:2], "throughput", *flags[2:]])
+        ]
+        expected = {"command": "throughput", "config": None, "preset": "throughput_ghz",
+                    "seed": 7, "out": str(tmp_path)}
+        assert parsed == [expected] * 3
+        assert cli.main([*flags, "throughput"]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["outputs"] == []
+        assert capsys.readouterr().out.startswith("collection x")
+
+
 class TestExitCodes:
     def test_missing_config_and_preset(self, capsys):
         assert cli.main(["throughput", "--out", "."]) == 2

@@ -7,7 +7,7 @@ import pytest
 from oracles import dc_steady_state, pulsed_photons_per_period, x_waiting_time_cdf
 from speds import qd
 from speds.errors import InvalidInput
-from speds.presets import load_preset
+from speds.presets import available_presets, load_preset
 from speds.qd import (
     LINE_MARKER,
     LINE_X,
@@ -28,6 +28,12 @@ from speds.qd import (
     simulate,
     throughput_ratio,
 )
+
+
+PULSED_PRESETS = [
+    name for name in available_presets()
+    if load_preset(name).get("drive", {}).get("mode") == MODE_PULSED
+]
 
 
 def same_record(r1, r2):
@@ -309,6 +315,19 @@ class TestPulsedSampler:
         rec = simulate(model, drive, seed=68)
         assert rec.times(LINE_X).size == 1
         assert rec.time_ns[-1] == rec.times(LINE_X)[0]
+
+    @pytest.mark.parametrize("preset", PULSED_PRESETS)
+    def test_a_lane_keeps_to_its_own_branches_at_either_end_of_its_draw(self, preset):
+        # 1 - 2^-53 is the largest draw rng.random gives: s + it rounds up to s + 1
+        config = load_preset(preset)
+        segments = qd._rate_table(QDModel(**config["model"]), DriveProgram(**config["drive"]))
+        for _, _, dwell, bounds, _, _ in segments:
+            state = np.arange(dwell.size, dtype=np.int8)
+            # branch b holds the draws with s + u in [edges[b], edges[b + 1])
+            owner = np.floor(np.append(0.0, bounds)).astype(np.int8)
+            pick = qd._branch_lookup(bounds, dwell.size)
+            for u in (0.0, 1.0 - 2.0 ** -53):
+                assert np.array_equal(owner[pick(state, np.full(state.size, u))], state), u
 
     @pytest.mark.parametrize("preset", ["ghz_ideal", "fig10_shelving"])
     def test_the_walk_stops_at_the_last_period(self, monkeypatch, preset):
