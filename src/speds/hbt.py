@@ -24,7 +24,11 @@ from .errors import InvalidInput, number
 from .qd import EmissionRecord
 
 _NS_PER_S = 1e9
-_PAIR_CHUNK = 1 << 16  # starts per search block and pairs per histogram in correlate
+_DRAW_BLOCK = 1 << 16  # variates per draw in detect
+_PAIR_CHUNK = 1 << 16  # starts per ranked block and pairs per histogram in correlate
+# Stops per key, at most, that _rank merges; with more, a binary search per
+# key costs less (see docs/DECISIONS.md)
+_MERGE_RATIO = 4
 # Pairs one correlate call may histogram: about 30 s at the 3e7 pairs/s
 # measured on one Xeon core.  The presets pair at most 8e5.
 _MAX_PAIRS = 10**9
@@ -52,6 +56,11 @@ class DetectorPair:
         return 0.5 * self.dark_rate / _NS_PER_S
 
 
+def _blocks(n):
+    """(start, stop) of each block of at most ``_DRAW_BLOCK`` in ``range(n)``."""
+    return [(s, min(s + _DRAW_BLOCK, n)) for s in range(0, n, _DRAW_BLOCK)]
+
+
 def detect(
     record: EmissionRecord,
     detectors: DetectorPair,
@@ -68,21 +77,40 @@ def detect(
     rng = np.random.default_rng(seed)
     duration = record.duration
     n = record.time_ns.size
-    to_b = rng.random(n) >= 0.5  # a 50:50 splitter, as the dark counts split
-    passed = record.mask(line_filter_a) & ~to_b | record.mask(line_filter_b) & to_b
-    passed &= rng.random(n) < detectors.efficiency
+    # Each variate is drawn in blocks, in the order of one full-length call
+    # per variate: a Generator reads its stream in order, so the draws are
+    # the same, without a full-length float64 temporary.
+    to_b = np.empty(n, dtype=bool)  # a 50:50 splitter, as the dark counts split
+    for s, e in _blocks(n):
+        np.greater_equal(rng.random(e - s), 0.5, out=to_b[s:e])
+    if line_filter_a == line_filter_b:  # both arms keep the same photons
+        passed = record.mask(line_filter_a)
+    else:
+        passed = record.mask(line_filter_a) & ~to_b | record.mask(line_filter_b) & to_b
+    for s, e in _blocks(n):
+        passed[s:e] &= rng.random(e - s) < detectors.efficiency
     sigma = detectors.timing_jitter_sigma * 1e-3  # ps -> ns
-    t = record.time_ns + rng.normal(0.0, sigma, n) if sigma > 0 else record.time_ns
+    t = record.time_ns
+    if sigma > 0:
+        t = np.empty(n)
+        for s, e in _blocks(n):
+            np.add(record.time_ns[s:e], rng.normal(0.0, sigma, e - s), out=t[s:e])
     passed &= (t >= 0.0) & (t < duration)
 
     noise = detectors.noise_rate_per_arm
     out = []
     for arm in (~to_b, to_b):
-        clicks = t[passed & arm]
-        if noise > 0:
-            extra = rng.uniform(0.0, duration, rng.poisson(noise * duration))
-            clicks = np.concatenate([clicks, extra])
-        clicks.sort()  # a fresh array: the selection or the concatenation made it
+        arm &= passed
+        dark = rng.poisson(noise * duration) if noise > 0 else 0
+        clicks = np.empty(np.count_nonzero(arm) + dark)
+        at = 0
+        for s, e in _blocks(n):  # the arm's photons, then its dark counts
+            part = t[s:e][arm[s:e]]
+            clicks[at : at + part.size] = part
+            at += part.size
+        for s, e in _blocks(dark):
+            clicks[at + s : at + e] = rng.uniform(0.0, duration, e - s)
+        clicks.sort()
         if detectors.dead_time > 0 and clicks.size:
             kept = [clicks[0]]
             for t_click in clicks[1:].tolist():
@@ -155,6 +183,32 @@ def _bin_width(edges):
     return (edges[-1] - edges[0]) / (edges.size - 1)
 
 
+def _rank(stops, keys, side):
+    """``np.searchsorted(stops, keys, side)`` for sorted ``keys``, by merging.
+
+    The stops that the keys can rank among lie between the first and the
+    last key's rank.  When they are at most ``_MERGE_RATIO`` times as many as
+    the keys, one stable argsort of the two sorted runs (a linear timsort
+    merge) ranks them: the keys go before the stops for ``"left"`` and after
+    them for ``"right"``, so a stop equal to a key counts exactly as
+    searchsorted counts it.  Sparser keys are searched, which then costs
+    less than the merge and holds nothing the size of the stops.
+    """
+    first, last = np.searchsorted(stops, keys[[0, -1]], side)
+    between = stops[first:last]
+    if between.size > _MERGE_RATIO * keys.size:
+        return np.searchsorted(stops, keys, side)
+    if side == "left":
+        order = np.argsort(np.concatenate((keys, between)), kind="stable")
+        at = np.flatnonzero(order < keys.size)
+    else:
+        order = np.argsort(np.concatenate((between, keys)), kind="stable")
+        at = np.flatnonzero(order >= between.size)
+    at -= np.arange(keys.size)  # the keys ranked before each key
+    at += first
+    return at
+
+
 def correlate(
     clicks_a,
     clicks_b,
@@ -169,23 +223,28 @@ def correlate(
     high repetition rates are unbiased.  Requires bin_width <= window / 50
     and at most ``_MAX_CORRELATION_BINS`` bins; the histogram keeps the edges
     of its whole number of bins.  More than ``_MAX_PAIRS`` pairs within the
-    window are rejected before any is counted.  Beyond its inputs it holds
-    two index arrays over the starts and one chunk of at most ``_PAIR_CHUNK``
-    pairs (or one start's).
+    window are rejected before any is counted.  The stops must be sorted;
+    starts out of order are counted from a sorted copy, as the count does
+    not depend on their order.  Beyond its inputs (and that copy) it holds
+    two index arrays over the starts, the ranks of each block of
+    ``_PAIR_CHUNK`` starts' window edges among the stops (``_rank``) and one
+    chunk of at most ``_PAIR_CHUNK`` pairs (or one start's).
     """
     edges = _correlation_edges(window, bin_width)
     number(duration, "duration", above=0.0)
     a = np.asarray(clicks_a, dtype=float)
     b = np.asarray(clicks_b, dtype=float)
+    if np.any(a[1:] < a[:-1]):
+        a = np.sort(a)
     counts = np.zeros(edges.size - 1)
     # For each start, the relevant stops b[lo[i]:hi[i]] lie in
-    # [t_a - window, t_a + window]; searched one block of starts at a time.
+    # [t_a - window, t_a + window]; ranked one block of starts at a time.
     blocks = [slice(s, s + _PAIR_CHUNK) for s in range(0, a.size, _PAIR_CHUNK)]
     lo = np.empty(a.size, np.int32 if b.size < 2**31 else np.int64)
     hi = np.empty_like(lo)
     for block in blocks:
-        lo[block] = np.searchsorted(b, a[block] - window, side="left")
-        hi[block] = np.searchsorted(b, a[block] + window, side="right")
+        lo[block] = _rank(b, a[block] - window, "left")
+        hi[block] = _rank(b, a[block] + window, "right")
     pairs = hi.sum(dtype=np.int64) - lo.sum(dtype=np.int64)
     if pairs > _MAX_PAIRS:
         raise InvalidInput(

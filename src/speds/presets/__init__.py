@@ -23,10 +23,15 @@ def available_presets():
 
 
 def load_preset(name):
-    """The parsed config dict for a bundled preset, named as ``available_presets`` lists it."""
-    if name not in available_presets():
+    """The parsed config dict for a bundled preset, named as ``available_presets`` lists it.
+
+    The name's file is opened directly; the directory is listed only to word
+    the error for a name that is no bundled file (a path included).
+    """
+    entry = resources.files(_PKG) / f"{name}.json"
+    if entry.name != f"{name}.json" or not entry.is_file():
         raise InvalidInput(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}"
         )
-    with (resources.files(_PKG) / f"{name}.json").open() as fh:
+    with entry.open() as fh:
         return json.load(fh)

@@ -383,28 +383,35 @@ def _pooled_record(segments, drive, rng):
     makes one step per state change.  It reads s's unused runs, as (length,
     next state), through one iterator, ``runs[s]``, which ``grow`` replaces
     with the new chunk's runs once it is spent; the last run may end inside
-    a pool's tail of self-loops.  Expanded, the runs give each period's
-    start state.  A photon's time is its period's start plus its time within
-    the period, so one stable sort on the times merges the states' photons
-    into period order.
+    a pool's tail of self-loops.  The walk records only each run's state,
+    one byte per run; ``_run_lengths`` takes the lengths back from the
+    pools' run arrays, and ``_gathered`` gathers each pool chunk from the
+    runs it serves (contiguous ranges of periods), one chunk at a time.  A
+    photon's time is its period's start plus its time within the period, so
+    one stable sort on the times merges the states' photons into period
+    order.
     """
     period, n = drive.period, int(np.ceil(drive.duration / drive.period))
     n_states = segments[0][2].size
     size, last_leave = [0] * n_states, [-1] * n_states
     runs = [iter(()).__next__] * n_states  # each state's unused (length, next state) runs
+    pool_runs = [[] for _ in range(n_states)]  # each state's run lengths, per chunk
     drawn = [[] for _ in range(n_states)]  # (counts, times, codes) per chunk
 
     def grow(s, lanes):
         end, counts, times, codes = _period_paths(segments, s, lanes, rng)
         out = np.flatnonzero(end != s)
         leaves = out + size[s]  # their places in the pool
-        runs[s] = zip(np.diff(leaves, prepend=last_leave[s]).tolist(), end[out].tolist()).__next__
+        lengths = np.diff(leaves, prepend=last_leave[s])
+        runs[s] = zip(lengths.tolist(), end[out].tolist()).__next__
+        pool_runs[s].append(lengths)
         if leaves.size:
             last_leave[s] = int(leaves[-1])
         size[s] += lanes
         drawn[s].append((counts, times, codes))
 
-    path, lens = [], []  # each run's state and length, in walk order
+    path = bytearray()  # each run's state, in walk order
+    append = path.append
     k, s = 0, _EMPTY
     while k < n:
         try:
@@ -417,29 +424,67 @@ def _pooled_record(segments, drive, rng):
                 grow(s, int(min(_LANES, n - k - loops, max(_FIRST_LANES, seen))))
                 continue
             step, to = n - k, s  # the walk ends inside them, one last run of s
-        path.append(s)
-        lens.append(step)
+        append(s)
         k += step
         s = to
-    lens[-1] -= k - n  # the last run stops at the record's last period
 
-    start_state = np.repeat(np.array(path, dtype=np.int8), lens)  # per period walked
-    # The period index is int32, half int64's bytes: freed, a larger one lifts
-    # malloc's mmap threshold, and the process's peak memory with it
-    index_type = np.int32 if n < 2**31 else np.int64  # n periods walked
-    parts = []
-    for state in range(n_states):
-        periods = np.arange(n, dtype=index_type)[start_state == state]  # take s's paths
-        for counts, times, codes in drawn[state]:
-            ks, periods = periods[: counts.size], periods[counts.size:]
-            m = int(counts[: ks.size].sum())
-            parts.append((np.repeat(ks * period, counts[: ks.size]) + times[:m], codes[:m]))
-    del start_state, periods, ks  # left alive, they would sit through the sort
-    times, codes = (np.concatenate(col) for col in zip(*parts))
+    path = np.frombuffer(path, dtype=np.int8)
+    times, codes = _gathered(path, _run_lengths(path, pool_runs, n), drawn, period)
     order = np.argsort(times, kind="stable")
     times = times[order]
     keep = int(np.searchsorted(times, drive.duration))
     return EmissionRecord(times[:keep], codes[order[:keep]], drive.duration)
+
+
+def _run_lengths(path, pool_runs, n):
+    """The length in periods of each run of a pulsed walk over ``n`` periods.
+
+    ``path`` holds each run's state in walk order and ``pool_runs[s]`` the
+    run lengths of each chunk of s's pool, in pool order; the walk reads
+    each state's runs in that order.  The last run is cut so the runs end
+    at the record's last period: it may overshoot it, or be a pool's tail
+    of self-loops, which no run array holds.
+    """
+    lens = np.empty(path.size, dtype=np.int64)
+    for state, lengths in enumerate(pool_runs):
+        mine = np.flatnonzero(path[:-1] == state)
+        if mine.size:
+            lens[mine] = np.concatenate(lengths)[: mine.size]
+    lens[-1] = n - lens[:-1].sum()
+    return lens
+
+
+def _gathered(path, lens, drawn, period):
+    """The photons of a pulsed walk, as (times, line codes), state by state.
+
+    Run j of the walk is in state ``path[j]`` for ``lens[j]`` periods, which
+    take the next ``lens[j]`` paths of that state's pool, whose chunks are
+    ``drawn[state]``, each (photons per path, times, codes).  A chunk's
+    periods are gathered from the runs it serves: along a run the period and
+    the place in the pool advance together, so a place's period is its run's
+    first period minus its first place, plus the place.  Only one chunk's
+    periods are held at a time.
+    """
+    first = np.cumsum(lens) - lens  # each run's first period
+    parts = []
+    for state, chunks in enumerate(drawn):
+        mine = np.flatnonzero(path == state)  # its runs, in walk order
+        # the state's runs start at these places in its pool, and end at the next
+        place = np.concatenate(([0], np.cumsum(lens[mine])))
+        shift = first[mine] - place[:-1]
+        p0 = 0
+        for counts, times, codes in chunks:
+            p1 = min(p0 + counts.size, int(place[-1]))  # the chunk's places the walk used
+            if p1 <= p0:  # this chunk and any after it are the pool's unused tail
+                break
+            r0 = int(np.searchsorted(place, p0, side="right")) - 1
+            r1 = int(np.searchsorted(place, p1, side="left"))  # runs r0..r1-1 serve it
+            overlap = np.diff(np.clip(place[r0 : r1 + 1], p0, p1))
+            ks = np.repeat(shift[r0:r1], overlap) + np.arange(p0, p1)
+            m = int(counts[: p1 - p0].sum())
+            parts.append((np.repeat(ks * period, counts[: p1 - p0]) + times[:m], codes[:m]))
+            p0 += counts.size
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _decay_edges(drive: DriveProgram, bin_ps):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speds import cli, dipole, hbt, qd
+from speds import cli, dipole, hbt, presets, qd
 from speds.designer import CavityDesign, optimize_top_mirror, sweep_bottom_mirror
 from speds.errors import InvalidInput, NumericalFailure
 from speds.presets import available_presets, load_preset
@@ -72,6 +72,19 @@ class TestPresets:
         for name in available_presets():
             assert "command" in load_preset(name)
 
+    def test_a_run_lists_the_preset_directory_once(self, monkeypatch, tmp_path):
+        # for the --preset help text; load_preset opens the name's file directly
+        calls = []
+
+        def listed():
+            calls.append(1)
+            return available_presets()
+
+        monkeypatch.setattr(presets, "available_presets", listed)
+        monkeypatch.setattr(cli, "available_presets", listed)
+        assert cli.main(["throughput", "--preset", "throughput_ghz", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
 
 class TestUsage:
     """One parser for every command: a positional command and four shared options."""
@@ -120,6 +133,16 @@ class TestExitCodes:
             rc = cli.main(["hbt", "--preset", name, "--out", str(out)])
             assert rc == 2
             assert capsys.readouterr().err.startswith(f"error: unknown preset {name!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name", ["nope", "", "../presets/dc_eq1", "presets/../dc_eq1", "/dc_eq1", "dc_eq1.json"]
+    )
+    def test_a_name_that_is_no_bundled_preset_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert cli.main(["hbt", "--preset", name, "--out", str(out)]) == 2
+        listed = ", ".join(available_presets())
+        assert capsys.readouterr().err == f"error: unknown preset {name!r}; available: {listed}\n"
         assert not out.exists()
 
     def test_command_mismatch_exits_2(self, tmp_path, capsys):

@@ -218,6 +218,42 @@ class TestCorrelate:
         assert np.array_equal(h.counts, per_start_counts(a, b, 2.0, 0.04))
         assert h.counts.sum() > 20
 
+    @pytest.mark.parametrize("ratio", [0, 4, 10**9], ids=["search", "default", "merge"])
+    @pytest.mark.parametrize("arms", ["grid", "unsorted", "sparse_starts", "no_starts",
+                                      "no_stops", "one_start", "one_stop"])
+    def test_ranks_and_counts_match_searchsorted_exactly(self, monkeypatch, ratio, arms):
+        # clicks on a 0.25 ns grid: a +- window lands on stops, and on other
+        # starts' edges; blocks of 7 starts, so a call ranks several blocks
+        rng = np.random.default_rng(40)
+        grid = np.sort(rng.integers(0, 400, 300) * 0.25)
+        a, b = {
+            "grid": (np.sort(rng.integers(0, 400, 300) * 0.25), grid),
+            "unsorted": (rng.integers(0, 400, 300) * 0.25, grid),
+            "sparse_starts": (np.array([1.0, 30.0, 31.0, 99.75]), grid),
+            "no_starts": (np.array([]), grid),
+            "no_stops": (grid, np.array([])),
+            "one_start": (np.array([50.0]), grid),
+            "one_stop": (grid, np.array([50.0])),
+        }[arms]
+        window, ranked, rank = 2.0, [], hbt_module._rank
+
+        def keep(stops, keys, side):
+            at = rank(stops, keys, side)
+            ranked.append((keys, side))
+            assert np.array_equal(at, np.searchsorted(stops, keys, side)), side
+            return at
+
+        monkeypatch.setattr(hbt_module, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(hbt_module, "_MERGE_RATIO", ratio)
+        monkeypatch.setattr(hbt_module, "_rank", keep)
+        h = correlate(a, b, window=window, bin_width=0.04, duration=100.0)
+        assert np.array_equal(h.counts, per_start_counts(a, b, window, 0.04))
+        # lo ranks each start's a - window, hi its a + window, every start once
+        for side, shift in (("left", -window), ("right", window)):
+            keys = [k for k, s in ranked if s == side]
+            assert len(keys) == -(-a.size // 7)
+            assert np.array_equal(np.concatenate(keys or [[]]), np.sort(a) + shift)
+
     def test_memory_per_start_is_bounded(self):
         # 1e6 sorted starts and stops, about one pair per start: the two
         # per-start index arrays (int32) and one block's temporaries

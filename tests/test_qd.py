@@ -333,24 +333,24 @@ class TestPulsedSampler:
     def test_the_walk_stops_at_the_last_period(self, monkeypatch, preset):
         # at their own seeds the last run of these presets reaches past the
         # record; the walk cuts it there, so no period past the record is gathered
-        walked = []
+        walked, run_lengths = [], qd._run_lengths
 
-        class Numpy:  # numpy, as qd sees it, with the lengths of the start states read
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def keep(path, pool_runs, n):
+            lens = run_lengths(path, pool_runs, n)
+            walked.append((path, pool_runs, n, lens))
+            return lens
 
-            @staticmethod
-            def repeat(a, repeats):
-                out = np.repeat(a, repeats)
-                if out.dtype == np.int8:  # one start state per period walked
-                    walked.append(out.size)
-                return out
-
-        monkeypatch.setattr(qd, "np", Numpy())
+        monkeypatch.setattr(qd, "_run_lengths", keep)
         config = load_preset(preset)
         drive = DriveProgram(**config["drive"])
         simulate(QDModel(**config["model"]), drive, config["seed"])
-        assert walked == [int(np.ceil(drive.duration / drive.period))]
+        [(path, pool_runs, n, lens)] = walked
+        assert n == int(np.ceil(drive.duration / drive.period))
+        assert lens.sum() == n and lens.min() >= 1
+        # the last run, as its state's pool drew it, is longer than the cut one
+        last = path[-1]
+        uncut = np.concatenate(pool_runs[last])[np.count_nonzero(path == last) - 1]
+        assert lens[-1] < uncut
 
     def test_each_period_takes_the_next_unused_path_of_its_start_state(self, monkeypatch):
         # the pool rule, exactly, as a plain loop over the periods and the
