@@ -105,9 +105,9 @@ def detect(
         clicks = np.empty(np.count_nonzero(arm) + dark)
         at = 0
         for s, e in _blocks(n):  # the arm's photons, then its dark counts
-            part = t[s:e][arm[s:e]]
-            clicks[at : at + part.size] = part
-            at += part.size
+            k = np.count_nonzero(arm[s:e])
+            np.compress(arm[s:e], t[s:e], out=clicks[at : at + k])
+            at += k
         for s, e in _blocks(dark):
             clicks[at + s : at + e] = rng.uniform(0.0, duration, e - s)
         clicks.sort()

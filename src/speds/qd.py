@@ -166,9 +166,11 @@ def _rate_table(model: QDModel, drive: DriveProgram):
     s and s + each cumulative branch probability of state s but the last (1),
     and drops the leading 0, so a lane in state s with a uniform draw u takes
     the branch at ``searchsorted(bounds, s + u, "right")`` (held to s's own
-    branches by ``_branch_lookup``) of the next states and lines, which list
-    every state's branches in order; ``lines`` holds the code of the photon
-    each branch emits, or -1.
+    branches; ``_branch_lookup`` finds it without a search) of the next
+    states and lines, which list every state's branches in order.  The next
+    states are ``np.intp``, so the pulsed lanes hold their states at native
+    width and gather by them with ``take``; ``lines`` holds the code (int8)
+    of the photon each branch emits, or -1.
     """
     if drive.mode == MODE_DC:
         phases, period = [(0.0, True, False)], np.inf
@@ -204,7 +206,7 @@ def _rate_table(model: QDModel, drive: DriveProgram):
             next_states += states
             lines += codes
         table.append((start, end, np.array(dwell), np.array(bounds[1:]),
-                      np.array(next_states, dtype=np.int8), np.array(lines, dtype=np.int8)))
+                      np.array(next_states, dtype=np.intp), np.array(lines, dtype=np.int8)))
     return table
 
 
@@ -291,7 +293,7 @@ def _dc_record(segment, duration, rng):
             edge[first - markers] += 1
             edge[first] -= 1
             codes[np.cumsum(edge[:-1]) > 0] = marker
-        inc = rng.standard_exponential(codes.size) * dwell[codes]
+        inc = rng.standard_exponential(codes.size) * dwell.take(codes)
         loop = np.flatnonzero(codes == x2)  # an X2 photon also waits out an X dwell
         inc[loop] += rng.standard_exponential(loop.size) * dwell[x]
         first = first[:n]
@@ -310,17 +312,31 @@ def _dc_record(segment, duration, rng):
 def _branch_lookup(bounds, n_states):
     """``pick(state, u)``: the branch that each lane in ``state`` takes on
     its uniform draw ``u`` in [0, 1), ``searchsorted(bounds, state + u,
-    "right")`` held to the state's own branches.
+    "right")`` held to the state's own branches, found without a search.
 
-    For u within 2^-52 of 1 and s >= 1, ``s + u`` rounds up to s + 1, where
-    the search finds the next state's first branch; such a lane takes its own
-    last branch instead, as the draws just below would.
+    With v = s + u, the search counts the bounds at or below s, ``base[s]``,
+    and then those of s's own bounds, strictly between s and s + 1, that v
+    reaches; ``thresholds[j, s]`` holds s's j-th own bound, or ``inf`` past
+    its last.  The count stops at s's last branch, ``last[s]``, as the
+    search clamped there does: for u within 2^-52 of 1 and s >= 1, ``s + u``
+    rounds up to s + 1, where the search alone finds the next state's first
+    branch, and the lane takes its own last branch, as the draws just below
+    would.  Each own bound costs one gather and one comparison per lane,
+    less than the binary search (see docs/DECISIONS.md).
     """
-    last = np.searchsorted(bounds, np.arange(1.0, n_states + 1.0))  # each state's last branch
+    edges = np.arange(n_states + 1.0)
+    base = np.searchsorted(bounds, edges[:-1], side="right")
+    last = np.searchsorted(bounds, edges[1:])  # one past s's own bounds: its last branch
+    thresholds = np.full((int((last - base).max()), n_states), np.inf)
+    for s in range(n_states):
+        thresholds[: last[s] - base[s], s] = bounds[base[s] : last[s]]
 
     def pick(state, u):
-        branch = np.searchsorted(bounds, state + u, side="right")
-        return np.minimum(branch, last[state], out=branch)
+        v = state + u
+        branch = base.take(state)
+        for own in thresholds:
+            branch += v >= own.take(state)
+        return branch
 
     return pick
 
@@ -336,35 +352,47 @@ def _period_paths(segments, start, lanes, rng):
     lanes are held by index: a step that loses lanes takes the indices of
     those that stay and of those that leave by ``np.flatnonzero``, gathers
     the staying lanes' state, time and lane number, and writes the leaving
-    lanes' end states; the emitting lanes are taken by index too.  Returns
-    (end state per lane, photons per lane as uint32, photon times within
-    the period, line codes), the photons grouped by lane in time order.
+    lanes' end states; the emitting lanes are taken by index too.  States,
+    branches and lane numbers are ``np.intp`` and every gather is a
+    ``take``: a gather by an int8 index array casts it first and costs
+    several times more.  The photons are grouped by one stable argsort of
+    their lane numbers, on a 16-bit key where ``_lane_key`` allows, which
+    numpy sorts by radix.  Returns (end state per lane, photons per lane as
+    uint32, photon times within the period, line codes), the photons
+    grouped by lane in time order.
     """
-    end = np.full(lanes, start, dtype=np.int8)
+    end = np.full(lanes, start, dtype=np.intp)
     lane_hits, time_hits, code_hits = [], [], []
     for seg_start, seg_end, dwell, bounds, next_states, lines in segments:
         lane, state = np.arange(lanes), end.copy()
         t = np.full(lanes, seg_start)
         pick = _branch_lookup(bounds, dwell.size)
         while lane.size:
-            t += rng.standard_exponential(lane.size) * dwell[state]
+            t += rng.standard_exponential(lane.size) * dwell.take(state)
             go = t < seg_end
             if not go.all():
                 leave, live = np.flatnonzero(~go), np.flatnonzero(go)
-                end[lane[leave]] = state[leave]
-                lane, state, t = lane[live], state[live], t[live]
+                end[lane.take(leave)] = state.take(leave)
+                lane, state, t = lane.take(live), state.take(live), t.take(live)
             branch = pick(state, rng.random(lane.size))
-            code = lines[branch]
+            code = lines.take(branch)
             emit = np.flatnonzero(code >= 0)
-            lane_hits.append(lane[emit])
-            time_hits.append(t[emit])
-            code_hits.append(code[emit])
-            state = next_states[branch]
-    lane = np.concatenate(lane_hits)
+            lane_hits.append(lane.take(emit))
+            time_hits.append(t.take(emit))
+            code_hits.append(code.take(emit))
+            state = next_states.take(branch)
+    lane = np.concatenate(lane_hits).astype(_lane_key(lanes))
     # each lane's photons came in time order, so a stable sort groups them
     order = np.argsort(lane, kind="stable")
     counts = np.bincount(lane, minlength=lanes).astype(np.uint32)
-    return end, counts, np.concatenate(time_hits)[order], np.concatenate(code_hits)[order]
+    times, codes = np.concatenate(time_hits), np.concatenate(code_hits)
+    return end, counts, times.take(order), codes.take(order)
+
+
+def _lane_key(lanes):
+    """The dtype that groups ``lanes`` lane numbers: 16 bits when they fit,
+    which numpy's stable argsort sorts by radix, else ``np.intp``."""
+    return np.uint16 if lanes <= 1 << 16 else np.intp
 
 
 def _pooled_record(segments, drive, rng):

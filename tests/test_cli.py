@@ -887,6 +887,33 @@ class TestRuns:
         assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / table).read_bytes()).hexdigest() == digest
 
+    # sha256 of each correlation preset's histogram at its own seed: a change
+    # to the source's or the detectors' random stream, or to the pair count,
+    # must update these and say so in CHANGES.md
+    @pytest.mark.parametrize(
+        "preset,digest",
+        [
+            ("cascade_x2_x", "83e16e802906fa00eae4cadfbd7592806865d2a027abf7a97ff4eb5e56bfd2d3"),
+            ("dc_eq1", "9818a6117d62aa610b8d375907b6a7a1f6158f8bb5a6f285bb66ecc53d24e4dd"),
+            ("dc_g2_011", "d0852e583eff9956c7535bd4baef5d7ca5c8140a664e75ad17005ffaa8c340a5"),
+            ("exclusion_x_marker",
+             "e7594a6439b19a72d3bd2b6e1e5e20bb638de246530eeb8a6665b8a06b583365"),
+            ("fig10_full_reset",
+             "eef7bdabd154b9f331b063f3f46a0a8ce903af0e8464338406ef070d7a00c67d"),
+            ("fig10_shelving", "3e052c1da6b6fac0edfd20b5382f89b5b7f3f760a171aef10f848d7d1f1b934e"),
+            ("fig8_full_reset", "f4d71323b4c5fd275ab8119fce27415d5daa2ea177f82e4cf25d3d6e73f4ef14"),
+            ("fig8_jitter", "36f866aec99e4315b164d8e1b9765606bfc762e13233bbbed6871ea7ef9a6f63"),
+            ("ghz_ideal", "d42df314ccb542423c0428ed5ac031dafa64d5e45329ed385bbb1cc52d8a877d"),
+            ("laser_80mhz", "51c2d35434a94d9e0e1f5d8a658fba8aa5cb6b71f7cd245745c7c9229ac053c8"),
+        ],
+        ids=["cascade_x2_x", "dc_eq1", "dc_g2_011", "exclusion_x_marker", "fig10_full_reset",
+             "fig10_shelving", "fig8_full_reset", "fig8_jitter", "ghz_ideal", "laser_80mhz"],
+    )
+    def test_correlation_presets_keep_their_histogram_bytes(self, tmp_path, preset, digest):
+        command = load_preset(preset)["command"]
+        assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "histogram.csv").read_bytes()).hexdigest() == digest
+
     def test_hbt_writes_histogram_and_summary(self, tmp_path):
         path = write_config(tmp_path, small_hbt_config())
         rc = cli.main(["hbt", "--config", path, "--out", str(tmp_path)])

@@ -136,6 +136,20 @@ class TestDetect:
         n_x = rec.times(LINE_X).size  # half reach arm A
         assert abs(a.size - n_x / 2) < 4 * np.sqrt(n_x / 4)
 
+    @pytest.mark.parametrize("filters", [(None, None), (LINE_X, LINE_X2), (LINE_MARKER, LINE_X)])
+    def test_blocks_of_seven_lay_out_the_same_clicks(self, monkeypatch, filters):
+        # each arm's photons are laid out block by block, then its dark counts;
+        # jitter pushes some photons out of [0, duration)
+        model = QDModel(capture_rate=2.0, shelve_probability=0.3, marker_rate=0.5)
+        rec = simulate(model, DriveProgram(mode="DC", duration=2e3), seed=34)
+        det = DetectorPair(efficiency=0.6, dark_rate=2e7, timing_jitter_sigma=300.0)
+        whole = detect(rec, det, 35, *filters)
+        monkeypatch.setattr(hbt_module, "_DRAW_BLOCK", 7)
+        blocked = detect(rec, det, 35, *filters)
+        for got, want in zip(blocked, whole):
+            assert want.size > 7 * 7
+            assert np.array_equal(got, want)
+
 
 class TestCorrelate:
     def test_poisson_streams_are_flat(self):

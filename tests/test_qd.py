@@ -329,6 +329,41 @@ class TestPulsedSampler:
             for u in (0.0, 1.0 - 2.0 ** -53):
                 assert np.array_equal(owner[pick(state, np.full(state.size, u))], state), u
 
+    @pytest.mark.parametrize("preset", [*PULSED_PRESETS, None])
+    def test_the_pick_is_the_clamped_search(self, preset):
+        # None: a three-segment table, the sweep-out starting after a delay
+        if preset is None:
+            model = QDModel(marker_rate=0.3)
+            drive = DriveProgram(mode=MODE_PULSED, sweep_out_regime=SWEEP_ELECTRONS,
+                                 sweep_delay=0.45)
+        else:
+            config = load_preset(preset)
+            model, drive = QDModel(**config["model"]), DriveProgram(**config["drive"])
+        segments = qd._rate_table(model, drive)
+        assert preset is not None or len(segments) == 3
+        rng = np.random.default_rng(73)
+        for _, _, dwell, bounds, _, _ in segments:
+            last = np.searchsorted(bounds, np.arange(1.0, dwell.size + 1.0))
+            pick = qd._branch_lookup(bounds, dwell.size)
+            for s in range(dwell.size):
+                own = bounds[(bounds > s) & (bounds < s + 1)] - s
+                u = np.concatenate(([0.0, 1.0 - 2.0 ** -53], own, np.nextafter(own, 0.0),
+                                    np.nextafter(own, 1.0), rng.random(10**5)))
+                state = np.full(u.size, s)
+                expected = np.minimum(np.searchsorted(bounds, state + u, "right"), last[state])
+                assert np.array_equal(pick(state, u), expected), (s, dwell.size)
+
+    @pytest.mark.parametrize("lanes", [1 << 16, (1 << 16) + 3])
+    def test_lanes_group_as_by_a_full_width_key(self, monkeypatch, lanes):
+        config = load_preset("ghz_ideal")
+        segments = qd._rate_table(QDModel(**config["model"]), DriveProgram(**config["drive"]))
+        paths = qd._period_paths(segments, qd._EMPTY, lanes, np.random.default_rng(74))
+        monkeypatch.setattr(qd, "_lane_key", lambda lanes: np.int64)
+        wide = qd._period_paths(segments, qd._EMPTY, lanes, np.random.default_rng(74))
+        assert wide[1][lanes - 3:].sum() > 0  # the last lanes emit
+        for got, want in zip(paths, wide):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("preset", ["ghz_ideal", "fig10_shelving"])
     def test_the_walk_stops_at_the_last_period(self, monkeypatch, preset):
         # at their own seeds the last run of these presets reaches past the
