@@ -213,18 +213,15 @@ class _CavityFields:
         self.swept = swept
 
     def _amplitudes(self, side, kpar, kz_host):
-        """{polarization: (a, t)} of one mirror for TE and TM, with a design
-        axis if it is the swept one: its reflection carried from the dipole to
-        the mirror and back, a = r exp(2i kz d), and its transmission t.  The
-        round-trip phase is the same for both polarizations."""
+        """{polarization: (a, t)} of one mirror for TE and TM, from one
+        transfer-matrix pass, with a design axis if it is the swept one: its
+        reflection carried from the dipole to the mirror and back,
+        a = r exp(2i kz d), and its transmission t.  The round-trip phase is
+        the same for both polarizations."""
         stack, distance = self.mirrors[side]
         rt = bragg_prefix_rt if side == self.swept else stack_rt
         phase = np.exp(2j * kz_host * distance)
-        amplitudes = {}
-        for pol in (TE, TM):
-            r, t = rt(stack, self.wl, kpar, pol, _IM_REG)
-            amplitudes[pol] = (r * phase, t)
-        return amplitudes
+        return {pol: (r * phase, t) for pol, (r, t) in rt(stack, self.wl, kpar, _IM_REG).items()}
 
     def dissipation_integrand(self, chi):
         """Total-power integrand G(chi) so that P = Re integral G dchi."""
@@ -300,7 +297,18 @@ def emission_pattern(
     power_density is the per-bin average power per radian; summing
     density * bin width over the grid plus guided_power recovers total_power.
     """
-    number(angular_resolution, "angular_resolution", low=_MIN_RESOLUTION_DEG, high=0.5)
+    res = float(
+        number(angular_resolution, "angular_resolution", low=_MIN_RESOLUTION_DEG, high=0.5)
+    )
+    # The bins tile 0-180 degrees: a grid that stopped short of 180 would book
+    # the missing sliver as guided power.  The tolerance passes a decimal
+    # resolution such as 0.3, whose 180 / res is 600 only up to rounding.
+    bins = round(180.0 / res)
+    if abs(bins * res - 180.0) > 1e-9 * 180.0:
+        raise InvalidInput(
+            f"angular_resolution must divide 180 degrees into whole bins, "
+            f"got {angular_resolution!r}"
+        )
     if type(include_guided_spike) is not bool:  # a flag: 0 and 1 are numbers, not flags
         raise InvalidInput(
             f"include_guided_spike must be true or false, got {include_guided_spike!r}"
@@ -308,8 +316,7 @@ def emission_pattern(
     fields = _CavityFields(geometry, None)
     total = float(fields.total_power())
 
-    res = float(angular_resolution)
-    theta_grid = np.arange(0.0, 180.0 + 0.5 * res, res)
+    theta_grid = np.linspace(0.0, 180.0, bins + 1)
     edges = _bin_edges_rad(theta_grid)
     half_pi = 0.5 * np.pi
     # Each half-space is one set of panels: the bins on its side of 90 degrees,

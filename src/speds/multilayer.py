@@ -110,22 +110,29 @@ def _product(a, b):
     )
 
 
-def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts):
-    """(r, t) of the stack's first ``c`` layers closed by its exit medium, one
-    pair per ``c`` in the ascending ``cuts``, from one pass over the layers.
+def _check_polarization(polarization):
+    if polarization not in (TE, TM):
+        raise InvalidInput(f"polarization must be TE or TM, got {polarization!r}")
 
-    The leading c layers of a stack are the same whatever follows them, so the
-    running product up to layer c is shared by every cut at or after it.  The
-    product starts at the first layer's matrix, so with no layers before a cut
-    its (r, t) is the exit interface's own.  It is taken two layers at a time,
-    one Bragg period, and each distinct two-layer block is built once per pass
-    from the cached layer steps; an odd last layer is taken alone.  A cut
-    closes the product M with the exit interface (r_e, t_e) written out:
+
+def _closed_products(stack, vacuum_wavelength, kpar, im_reg, cuts):
+    """{polarization: [(r, t), ...]} for TE and TM: (r, t) of the stack's first
+    ``c`` layers closed by its exit medium, one pair per ``c`` in the ascending
+    ``cuts``, from one pass over the layers.
+
+    Only the interface coefficients depend on the polarization, so each
+    medium's kz and each (index, thickness)'s propagation phases are computed
+    once for both.  The leading c layers of a stack are the same whatever
+    follows them, so the running product up to layer c is shared by every cut
+    at or after it.  The product starts at the first layer's matrix, so with
+    no layers before a cut its (r, t) is the exit interface's own.  It is taken
+    two layers at a time, one Bragg period, and each distinct two-layer block
+    is built once per polarization from the cached layer steps; an odd last
+    layer is taken alone.  A cut closes the product M with the exit interface
+    (r_e, t_e) written out:
     r = (m10 + m11 r_e) / (m00 + m01 r_e), t = t_e / (m00 + m01 r_e).
     """
     number(vacuum_wavelength, "vacuum_wavelength", above=0.0)
-    if polarization not in (TE, TM):
-        raise InvalidInput(f"polarization must be TE or TM, got {polarization!r}")
     kpar = np.asarray(kpar, dtype=complex)
     k0 = 2.0 * np.pi / vacuum_wavelength
     indices = [stack.entry_index]
@@ -133,53 +140,61 @@ def _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts)
         indices.append(layer.refractive_index + 1j * im_reg)
     # A Bragg stack repeats two indices: one kz array per distinct medium.
     kz = {n: kz_normal(n, k0, kpar) for n in set(indices) | {stack.exit_index}}
-    # ... and repeats each (interface, layer) step every period: one matrix
-    # I(n1, n2) . P per distinct step, P the propagation through the n2 layer
-    # of this thickness, and one product of two steps per distinct block.
+    # ... and repeats each (interface, layer) step every period: one
+    # propagation P through each distinct layer, one matrix I(n1, n2) . P per
+    # distinct step and polarization, and one product of two steps per
+    # distinct block.
     thicknesses = [layer.thickness for layer in stack.layers]
     keys = list(zip(indices, indices[1:], thicknesses))
-    steps = {}
-    blocks = {}
-    exits = {}
+    phases = {}
+    for n, thickness in set(zip(indices[1:], thicknesses)):
+        delta = kz[n] * thickness
+        phases[n, thickness] = (np.exp(-1j * delta), np.exp(+1j * delta))
 
-    def step(key):
-        if key not in steps:
-            n1, n2, thickness = key
-            r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
-            delta = kz[n2] * thickness
-            pf = np.exp(-1j * delta)
-            pb = np.exp(+1j * delta)
-            steps[key] = (pf / t, pb * r / t, pf * r / t, pb / t)
-        return steps[key]
+    def closed(polarization):
+        steps = {}
+        blocks = {}
+        exits = {}
 
-    def block(pair):
-        if pair not in blocks:
-            blocks[pair] = step(pair[0]) if len(pair) == 1 else _product(*map(step, pair))
-        return blocks[pair]
+        def step(key):
+            if key not in steps:
+                n1, n2, thickness = key
+                r, t = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
+                pf, pb = phases[n2, thickness]
+                steps[key] = (pf / t, pb * r / t, pf * r / t, pb / t)
+            return steps[key]
 
-    m = None
-    out = []
-    done = 0
-    for cut in cuts:
-        for j in range(done, cut, 2):
-            b = block(tuple(keys[j:min(j + 2, cut)]))
-            m = b if m is None else _product(m, b)
-        done = cut
-        n1, n2 = indices[cut], stack.exit_index
-        if n1 not in exits:
-            exits[n1] = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
-        r_e, t_e = exits[n1]
-        if m is None:
-            out.append((r_e, t_e))
-        else:
-            m00, m01, m10, m11 = m
-            den = m00 + m01 * r_e
-            out.append(((m10 + m11 * r_e) / den, t_e / den))
-    return out
+        def block(pair):
+            if pair not in blocks:
+                blocks[pair] = step(pair[0]) if len(pair) == 1 else _product(*map(step, pair))
+            return blocks[pair]
+
+        m = None
+        out = []
+        done = 0
+        for cut in cuts:
+            for j in range(done, cut, 2):
+                b = block(tuple(keys[j:min(j + 2, cut)]))
+                m = b if m is None else _product(m, b)
+            done = cut
+            n1, n2 = indices[cut], stack.exit_index
+            if n1 not in exits:
+                exits[n1] = _interface_rt(n1, n2, kz[n1], kz[n2], polarization)
+            r_e, t_e = exits[n1]
+            if m is None:
+                out.append((r_e, t_e))
+            else:
+                m00, m01, m10, m11 = m
+                den = m00 + m01 * r_e
+                out.append(((m10 + m11 * r_e) / den, t_e / den))
+        return out
+
+    return {pol: closed(pol) for pol in (TE, TM)}
 
 
-def stack_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg=0.0):
-    """Vectorized amplitude reflection/transmission of a stack.
+def stack_rt(stack: LayerStack, vacuum_wavelength, kpar, im_reg=0.0):
+    """Vectorized amplitude reflection/transmission of a stack, as
+    ``{TE: (r, t), TM: (r, t)}`` from one pass.
 
     ``kpar`` may be a scalar or array, real or complex (complex values are used
     by the contour-deformed dipole dissipation integral).  ``im_reg`` adds a
@@ -187,35 +202,38 @@ def stack_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg=0.
     poles.  Phase is referenced to the entry-side boundary.
     """
     cut = len(stack.layers)
-    return _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, [cut])[0]
+    rt = _closed_products(stack, vacuum_wavelength, kpar, im_reg, [cut])
+    return {pol: pairs[0] for pol, pairs in rt.items()}
 
 
-def bragg_prefix_rt(stack: LayerStack, vacuum_wavelength, kpar, polarization, im_reg):
+def bragg_prefix_rt(stack: LayerStack, vacuum_wavelength, kpar, im_reg):
     """``stack_rt`` of every whole-period prefix of a Bragg stack, in one pass.
 
     The stack is laid out as ``build_bragg`` lays it, two layers a period; the
-    prefix of N periods is closed by the stack's exit medium.  Returns (r, t),
-    each with a leading axis over N = 0, 1, ..., the stack's period count, and
-    each row equal to ``stack_rt`` of that N-period stack.
+    prefix of N periods is closed by the stack's exit medium.  Returns
+    ``{TE: (r, t), TM: (r, t)}``, each array with a leading axis over N = 0,
+    1, ..., the stack's period count, and each row equal to ``stack_rt`` of
+    that N-period stack.
     """
     if len(stack.layers) % 2:
         raise InvalidInput(f"a Bragg stack has two layers a period, got {len(stack.layers)}")
     cuts = range(0, len(stack.layers) + 1, 2)
-    rt = _closed_products(stack, vacuum_wavelength, kpar, polarization, im_reg, cuts)
-    r, t = zip(*rt)
-    return np.stack(r), np.stack(t)
+    rt = _closed_products(stack, vacuum_wavelength, kpar, im_reg, cuts)
+    return {pol: tuple(map(np.stack, zip(*pairs))) for pol, pairs in rt.items()}
 
 
 def power_reflectance(stack: LayerStack, vacuum_wavelength, kpar, polarization):
-    """|r|^2 of ``stack_rt``, vectorized over kpar."""
-    r, _ = stack_rt(stack, vacuum_wavelength, kpar, polarization)
+    """|r|^2 of ``stack_rt`` for one polarization, vectorized over kpar."""
+    _check_polarization(polarization)
+    r, _ = stack_rt(stack, vacuum_wavelength, kpar)[polarization]
     return np.abs(r) ** 2
 
 
 def power_transmittance(stack: LayerStack, vacuum_wavelength, kpar, polarization):
-    """Energy transmittance including the admittance weight (both polarizations),
-    vectorized over kpar."""
-    _, t = stack_rt(stack, vacuum_wavelength, kpar, polarization)
+    """Energy transmittance including the admittance weight, for one
+    polarization, vectorized over kpar."""
+    _check_polarization(polarization)
+    _, t = stack_rt(stack, vacuum_wavelength, kpar)[polarization]
     k0 = 2.0 * np.pi / vacuum_wavelength
     kz_in = kz_normal(stack.entry_index, k0, kpar)
     kz_out = kz_normal(stack.exit_index, k0, kpar)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speds import cli, dipole, hbt, presets, qd
+from speds import cli, dipole, hbt, multilayer, presets, qd
 from speds.designer import CavityDesign, optimize_top_mirror, sweep_bottom_mirror
 from speds.errors import InvalidInput, NumericalFailure
 from speds.presets import available_presets, load_preset
@@ -625,9 +625,14 @@ class TestExitCodes:
              "include_guided_spike must be true or false, got 'x'"),
             ("fig6a_no_cavity", {"pattern": {"include_guided_spike": 1}},
              "include_guided_spike must be true or false, got 1"),
+            # a grid of 0.35 or 0.49 degree bins stops short of 180 degrees
+            ("homogeneous", {"pattern": {"angular_resolution": 0.35}},
+             "angular_resolution must divide 180 degrees into whole bins, got 0.35"),
+            ("fig6b_cavity", {"pattern": {"angular_resolution": 0.49}},
+             "angular_resolution must divide 180 degrees into whole bins, got 0.49"),
         ],
         ids=["index-huge", "index-below-the-aperture", "spike-inf", "spike-string",
-             "spike-one"],
+             "spike-one", "resolution-0.35", "resolution-0.49"],
     )
     def test_bad_optics_inputs_exit_2_before_the_pattern(
         self, tmp_path, capsys, monkeypatch, preset, override, message
@@ -886,6 +891,60 @@ class TestRuns:
                                                    digest):
         assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / table).read_bytes()).hexdigest() == digest
+
+    # sha256 of each optics preset's summary.json: its floats print every
+    # digit, so a change to the quadrature or the transfer-matrix product
+    # order that moves any last digit must update these and say so in CHANGES.md
+    @pytest.mark.parametrize(
+        "command,preset,digest",
+        [
+            ("emission-pattern", "fig6a_no_cavity",
+             "b3dea9c98bb01e736419abdafd79b2a48079c5b3ca003f00f801cb093188e05e"),
+            ("emission-pattern", "fig6b_cavity",
+             "7075e6017f60de80f899d2ae041edd0dc28b211b9071b100efe173b875857ed7"),
+            ("emission-pattern", "homogeneous",
+             "f9876ea753fe04a541f579e64e1a7231f48bf8d1d8234736b65e98427a12a210"),
+            ("cavity-sweep", "fig5_sweep",
+             "7baa0cf6e30dc738549e2d0307eeff2fd3dab1178a879e2413c5bd0962612275"),
+            ("cavity-sweep", "top_mirror_study",
+             "64b7c14b60c7819c3bdc0fc22f33b52dc3026c41f6bd08a36f9e4051f27ae35b"),
+        ],
+        ids=["fig6a_no_cavity", "fig6b_cavity", "homogeneous", "fig5_sweep", "top_mirror_study"],
+    )
+    def test_optics_presets_keep_their_summary_bytes(self, tmp_path, command, preset, digest):
+        assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command,preset",
+        [("emission-pattern", "fig6b_cavity"), ("cavity-sweep", "top_mirror_study")],
+        ids=["fig6b_cavity", "top_mirror_study"],
+    )
+    def test_one_transfer_matrix_pass_per_mirror_per_node_set(
+        self, tmp_path, monkeypatch, command, preset
+    ):
+        # each mirror's TE and TM (r, t) at one node set come from one pass
+        passes = []
+        closed_products = multilayer._closed_products
+
+        def counted(*args, **kwargs):
+            passes.append(args[0])
+            return closed_products(*args, **kwargs)
+
+        per_mirror = []
+        amplitudes = dipole._CavityFields._amplitudes
+
+        def one_mirror(fields, side, kpar, kz_host):
+            before = len(passes)
+            result = amplitudes(fields, side, kpar, kz_host)
+            per_mirror.append(len(passes) - before)
+            return result
+
+        monkeypatch.setattr(multilayer, "_closed_products", counted)
+        monkeypatch.setattr(dipole._CavityFields, "_amplitudes", one_mirror)
+        assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert per_mirror and set(per_mirror) == {1}
 
     # sha256 of each correlation preset's histogram at its own seed: a change
     # to the source's or the detectors' random stream, or to the pair count,

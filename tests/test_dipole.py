@@ -241,3 +241,8 @@ class TestValidation:
     def test_bad_resolution_rejected(self):
         with pytest.raises(InvalidInput):
             emission_pattern(homogeneous_geometry(), angular_resolution=2.0)
+
+    @pytest.mark.parametrize("resolution", [0.35, 0.49, 0.26, 0.2501])
+    def test_resolution_that_does_not_divide_180_rejected(self, resolution):
+        with pytest.raises(InvalidInput, match="angular_resolution must divide 180 degrees"):
+            emission_pattern(homogeneous_geometry(), angular_resolution=resolution)
