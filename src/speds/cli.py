@@ -251,7 +251,7 @@ def _check_lines(key, lines):
             )
 
 
-def _correlated(config, seed, sample, duration, key, lines):
+def _correlated(config, seed, sample, duration, key, lines, profile=None):
     """Check, sample, detect ``lines`` on arms A and B, and correlate: hbt's and
     cross-corr's chain.
 
@@ -260,8 +260,12 @@ def _correlated(config, seed, sample, duration, key, lines):
     source's ``duration`` ns, the noise and the correlation bins.  A
     noise/signal ratio sets the dark rate from the signal rate on
     ``line_filter``, its counts checked against the cap before any is drawn.
-    Returns ``(record, histogram, rates)``; ``rates`` holds the signal rate,
-    the noise rate (both 1/ns) and any noise/signal ratio set.
+    Then ``profile(record)``, if given, reads what else the run needs of the
+    record (hbt's decay profile), and the record is handed to
+    ``cross_correlate_lines`` with no reference kept here, so it can be freed
+    before ``correlate`` runs.  Returns ``(decay, histogram, rates)``:
+    ``decay`` is ``profile``'s result (None without one), and ``rates`` holds
+    the signal rate, the noise rate (both 1/ns) and any noise/signal ratio set.
     """
     _check_lines(key, lines)
     detectors = hbt.DetectorPair(**config["detectors"])
@@ -270,15 +274,20 @@ def _correlated(config, seed, sample, duration, key, lines):
     ratio = _noise_ratio(config, detectors.dark_rate)
     corr_cfg = config["correlation"]
     hbt._correlation_edges(corr_cfg["window"], corr_cfg["bin_width"])
-    record = sample(seed)
-    signal = np.count_nonzero(record.mask(config.get("line_filter")))
-    signal_per_ns = signal / record.duration
+    # the record's only reference, popped into the call that detects it: passed
+    # as a plain argument (not through *lines, whose tuple would hold it), it
+    # lives in cross_correlate_lines' frame alone on CPython >= 3.11
+    records = [sample(seed)]
+    signal = np.count_nonzero(records[0].mask(config.get("line_filter")))
+    signal_per_ns = signal / records[0].duration
     if ratio is not None:
         key = "noise_to_signal_ratio" if config.get("target_g2_zero") is None else "target_g2_zero"
         _check_work(ratio * signal, key, config[key])
         detectors = replace(detectors, dark_rate=ratio * signal_per_ns * 1e9)
+    decay = None if profile is None else profile(records[0])
     hist = hbt.cross_correlate_lines(
-        record, *lines, detectors, seed + 1, corr_cfg["window"], corr_cfg["bin_width"]
+        records.pop(), lines[0], lines[1], detectors, seed + 1,
+        corr_cfg["window"], corr_cfg["bin_width"],
     )
     rates = {
         "signal_rate_per_ns": signal_per_ns,
@@ -286,12 +295,13 @@ def _correlated(config, seed, sample, duration, key, lines):
     }
     if ratio is not None:
         rates["noise_to_signal_ratio"] = ratio
-    return record, hist, rates
+    return decay, hist, rates
 
 
 def cmd_hbt(config, seed):
     sample, duration, repetition_rate, drive = _SOURCES[config["source"]][0](config)
     analysis = config["analysis"]
+    profile = None  # what reads the decay profile, before detection
     if "m_far" in analysis:
         if repetition_rate is None:
             raise InvalidInput(
@@ -316,8 +326,12 @@ def cmd_hbt(config, seed):
                 f"analysis.decay_fit needs t_start < t_stop around at least {qd._FIT_BINS} "
                 f"decay-bin centres, got t_start={t_start!r}, t_stop={t_stop!r}"
             )
+        profile = partial(qd.decay_profile, drive=drive, line=fit_cfg["line"],
+                          bin_ps=fit_cfg["bin_ps"])
     line = config.get("line_filter")
-    record, hist, rates = _correlated(config, seed, sample, duration, "line_filter", (line, line))
+    decay, hist, rates = _correlated(
+        config, seed, sample, duration, "line_filter", (line, line), profile
+    )
     files = {"histogram.csv": hist}
     summary = {
         "n_clicks_a": int(hist.n_a),
@@ -338,8 +352,7 @@ def cmd_hbt(config, seed):
         summary["peak_area_zero"] = areas.area(0)
         summary["peak_area_one"] = areas.area(1)
     if "decay_fit" in analysis:
-        centers, counts = qd.decay_profile(record, drive, fit_cfg["line"], fit_cfg["bin_ps"])
-        summary["fitted_decay_ns"] = qd.fit_decay_time(centers, counts, t_start, t_stop)
+        summary["fitted_decay_ns"] = qd.fit_decay_time(*decay, t_start, t_stop)
     return summary, files, text
 
 

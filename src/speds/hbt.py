@@ -363,6 +363,14 @@ def cross_correlate_lines(
     window,
     bin_width,
 ) -> CorrelationHistogram:
-    """Cross-correlation between two emission lines (start on one arm, stop on the other)."""
+    """Cross-correlation between two emission lines (start on one arm, stop on the other).
+
+    The record is released once ``detect`` has read it: when the caller hands
+    it over, keeping no reference (``cli._correlated``), it is freed before
+    ``correlate`` runs on CPython >= 3.11, whose calls move their arguments
+    into the callee's frame.  A record the caller keeps is left unchanged.
+    """
+    duration = record.duration
     a, b = detect(record, detectors, seed, line_filter_a=line_start, line_filter_b=line_stop)
-    return correlate(a, b, window, bin_width, record.duration, (line_start, line_stop))
+    del record
+    return correlate(a, b, window, bin_width, duration, (line_start, line_stop))

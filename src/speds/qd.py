@@ -350,14 +350,16 @@ def _period_paths(segments, start, lanes, rng):
     and the memoryless wait is redrawn, or once its state has no way out.
     Each step draws one wait and then one branch per live lane.  The live
     lanes are held by index: a step that loses lanes takes the indices of
-    those that stay and of those that leave by ``np.flatnonzero``, gathers
-    the staying lanes' state, time and lane number, and writes the leaving
-    lanes' end states; the emitting lanes are taken by index too.  States,
-    branches and lane numbers are ``np.intp`` and every gather is a
-    ``take``: a gather by an int8 index array casts it first and costs
-    several times more.  The photons are grouped by one stable argsort of
-    their lane numbers, on a 16-bit key where ``_lane_key`` allows, which
-    numpy sorts by radix.  Returns (end state per lane, photons per lane as
+    those that stay by ``np.flatnonzero`` and gathers their state, time and
+    lane number; after each branch the live lanes write their new state to
+    ``end``, so a lane that leaves has its end state there already (a lane
+    that leaves before its first branch keeps the state it entered with).
+    The emitting lanes are taken by index too.  States, branches and lane
+    numbers are ``np.intp`` and every gather is a ``take``: a gather by an
+    int8 index array casts it first and costs several times more.  The
+    photons are grouped by one stable argsort of their lane numbers, on a
+    16-bit key where ``_lane_key`` allows, which numpy sorts by radix.
+    Returns (end state per lane, photons per lane as
     uint32, photon times within the period, line codes), the photons
     grouped by lane in time order.
     """
@@ -371,8 +373,7 @@ def _period_paths(segments, start, lanes, rng):
             t += rng.standard_exponential(lane.size) * dwell.take(state)
             go = t < seg_end
             if not go.all():
-                leave, live = np.flatnonzero(~go), np.flatnonzero(go)
-                end[lane.take(leave)] = state.take(leave)
+                live = np.flatnonzero(go)
                 lane, state, t = lane.take(live), state.take(live), t.take(live)
             branch = pick(state, rng.random(lane.size))
             code = lines.take(branch)
@@ -381,6 +382,7 @@ def _period_paths(segments, start, lanes, rng):
             time_hits.append(t.take(emit))
             code_hits.append(code.take(emit))
             state = next_states.take(branch)
+            end[lane] = state
     lane = np.concatenate(lane_hits).astype(_lane_key(lanes))
     # each lane's photons came in time order, so a stable sort groups them
     order = np.argsort(lane, kind="stable")

@@ -2,7 +2,9 @@ import hashlib
 import inspect
 import json
 import math
+import sys
 import time
+import weakref
 from dataclasses import MISSING, fields
 from itertools import count
 
@@ -1089,6 +1091,36 @@ class TestRuns:
         assert cli.main(["hbt", "--config", path, "--seed", "99",
                          "--out", str(out_b)]) == 0
         assert (out_a / "histogram.csv").read_bytes() != (out_b / "histogram.csv").read_bytes()
+
+
+class TestRecordHandOff:
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 a caller's stack keeps a call's arguments until the call "
+        "returns, so the record stays alive through correlate (same outputs)",
+    )
+    @pytest.mark.parametrize(
+        "command,preset",
+        [("hbt", "dc_eq1"), ("cross-corr", "cascade_x2_x"), ("hbt", "fig8_jitter")],
+    )
+    def test_the_record_is_freed_before_correlate(self, tmp_path, monkeypatch, command, preset):
+        # fig8_jitter's decay fit reads the record too, before detection
+        simulate, correlate = qd.simulate, hbt.correlate
+        records, alive = [], []
+
+        def sampled(*args, **kwargs):
+            record = simulate(*args, **kwargs)
+            records.append(weakref.ref(record))
+            return record
+
+        def correlated(*args, **kwargs):
+            alive.append(records[0]() is not None)
+            return correlate(*args, **kwargs)
+
+        monkeypatch.setattr(qd, "simulate", sampled)
+        monkeypatch.setattr(hbt, "correlate", correlated)
+        assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert len(records) == 1 and alive == [False]
 
 
 class TestDeterminism:

@@ -526,6 +526,23 @@ class TestCrossCorrelation:
         assert pos > 1.0 + 3.0 * se  # bunched: X follows its X2
         assert neg < 1.0 - 3.0 * se  # anti-correlated: no X just before an X2
 
+    def test_a_kept_record_is_unchanged_and_detected_then_correlated(self):
+        model = QDModel(capture_rate=2.0, shelve_probability=0.0)
+        rec = simulate(model, DriveProgram(mode="DC", duration=2e4), seed=29)
+        times, codes = rec.time_ns.copy(), rec.line_code.copy()
+        detectors = DetectorPair(efficiency=0.8, dark_rate=1e6, timing_jitter_sigma=40.0)
+        h = cross_correlate_lines(rec, LINE_X2, LINE_X, detectors, seed=30,
+                                  window=15.0, bin_width=0.1)
+        np.testing.assert_array_equal(rec.time_ns, times)
+        np.testing.assert_array_equal(rec.line_code, codes)
+        assert rec.duration == 2e4
+        a, b = detect(rec, detectors, 30, line_filter_a=LINE_X2, line_filter_b=LINE_X)
+        expected = correlate(a, b, 15.0, 0.1, rec.duration, (LINE_X2, LINE_X))
+        np.testing.assert_array_equal(h.counts, expected.counts)
+        assert (h.n_a, h.n_b, h.duration, h.source_lines) == (
+            expected.n_a, expected.n_b, expected.duration, expected.source_lines
+        )
+
     def test_mutually_exclusive_lines_dip_symmetrically(self):
         model = QDModel(capture_rate=1.0, shelve_probability=0.15, unshelve_rate=0.05,
                         marker_rate=0.5)
