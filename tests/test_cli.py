@@ -877,15 +877,15 @@ class TestRuns:
         "command,preset,table,digest",
         [
             ("emission-pattern", "fig6a_no_cavity", "emission_pattern.csv",
-             "45a05de891e8a5e81e6fc7468ec11cf7d3796fc2ae0ba7ed7f3a382e033e1db7"),
+             "3faa037734d70503939b64262595295bf195645f5b53acd2e0da02abe757ad94"),
             ("emission-pattern", "fig6b_cavity", "emission_pattern.csv",
-             "986dfcbf625a345569ae6417d938db45eab53caaf4a048b97c62209d77850330"),
+             "54635cf27503bf061fe60e904285db8c202b03557e807f279bde5ee64fe57b8c"),
             ("emission-pattern", "homogeneous", "emission_pattern.csv",
-             "011058037bf261d97cd949c31078551f4ba05895f149a55af9a5eea8583642d4"),
+             "10c8d78e8cf7fc61cb7a17dbe8660303aef187e833acdb047f3107ca5082a8e3"),
             ("cavity-sweep", "fig5_sweep", "fig5_geometry_NA0.5.csv",
-             "cf57078cb91f1b5c489189e83426991c88751742742147a34fc99a8e125ef774"),
+             "d10716bd39265e6210f746eb918854349cf41c6c755f8aa104c6bd34b7bb2137"),
             ("cavity-sweep", "top_mirror_study", "top_mirror_geometry.csv",
-             "47341f88dae7af043cfbf02dc2aaf282bcb75ff214377917a35408ac6e34f9f8"),
+             "42ad92299aaebfb22f1e48f1599a9e78a8241b14c0a3e8851dffc2aed8aed150"),
         ],
         ids=["fig6a_no_cavity", "fig6b_cavity", "homogeneous", "fig5_sweep", "top_mirror_study"],
     )
@@ -901,15 +901,15 @@ class TestRuns:
         "command,preset,digest",
         [
             ("emission-pattern", "fig6a_no_cavity",
-             "b3dea9c98bb01e736419abdafd79b2a48079c5b3ca003f00f801cb093188e05e"),
+             "71b209c53ddbb3409d880ed10e0ce0c47c00720a96b62f22897e7d2c097abd83"),
             ("emission-pattern", "fig6b_cavity",
-             "7075e6017f60de80f899d2ae041edd0dc28b211b9071b100efe173b875857ed7"),
+             "2ec1cf94acf57edb23b020a2c08f0344319b25f74c418126620a0cf37ab32691"),
             ("emission-pattern", "homogeneous",
-             "f9876ea753fe04a541f579e64e1a7231f48bf8d1d8234736b65e98427a12a210"),
+             "29d358ed91ffa2fe2dc1eba3d2c1350a2e9ae460b0fd56870af411369f4e37ad"),
             ("cavity-sweep", "fig5_sweep",
-             "7baa0cf6e30dc738549e2d0307eeff2fd3dab1178a879e2413c5bd0962612275"),
+             "36c7e653cc40e8f74b39cc797fd020c1908b4cd0da9ce25f8f3ee0edb50eaa7d"),
             ("cavity-sweep", "top_mirror_study",
-             "64b7c14b60c7819c3bdc0fc22f33b52dc3026c41f6bd08a36f9e4051f27ae35b"),
+             "069ff1f8f447bc7073536410a1ec86572a710e63c19974eb3d4bbe5e8d7c4bd0"),
         ],
         ids=["fig6a_no_cavity", "fig6b_cavity", "homogeneous", "fig5_sweep", "top_mirror_study"],
     )
@@ -947,6 +947,18 @@ class TestRuns:
         monkeypatch.setattr(dipole._CavityFields, "_amplitudes", one_mirror)
         assert cli.main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
         assert per_mirror and set(per_mirror) == {1}
+
+    def test_100_by_100_top_study_peaks_at_14_top_periods(self, tmp_path):
+        # the longest mirrors on both sides, whose resonances are the narrowest:
+        # the exact escape density puts the best design at 14 top periods, and
+        # the cone quadrature of design 53 converges only with Im n on the
+        # mirror layers
+        path = write_config(tmp_path, {"max_top": 100, "bottom_periods": 100})
+        out = tmp_path / "out"
+        rc = cli.main(["cavity-sweep", "--preset", "top_mirror_study", "--config", path,
+                       "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "summary.json").read_text())["argmax_top_periods"] == 14
 
     # sha256 of each correlation preset's histogram at its own seed: a change
     # to the source's or the detectors' random stream, or to the pair count,

@@ -187,15 +187,25 @@ class TestReciprocityOracle:
 
     @pytest.mark.parametrize("periods", [0, 12])
     def test_density_matches_escape_density(self, periods):
-        # 16.6 degrees is the GaAs/air critical angle; 16.65 sits on the
-        # leaky-mode peak of the 12-period cavity, where the program's im_reg
-        # damping shifts the density by up to 2e-4 (6e-5 elsewhere)
-        theta = np.radians([0.5, 5.0, 12.0, 16.5, 16.65, 17.0, 20.0, 29.5])
-        program = _CavityFields(geometry_for(fig5_design(periods)), None).escape_density(
-            theta, "bottom"
+        # every real angle on a 0.025 degree grid, the GaAs/air critical angle
+        # and the 12-period cavity's resonances included, against the oracle
+        # given the program's stacks: Im n = _IM_REG on each mirror layer
+        theta = np.radians(np.arange(2, 3599) * 0.025)
+        indices, thicknesses, layer, z = self.cavity(periods)
+        indices = np.asarray(indices, dtype=complex)
+        indices[1:-2] += 1j * dipole._IM_REG
+        oracle = oracles.downward_escape_density(theta, indices, thicknesses, layer, z, LAM)
+        geometry = geometry_for(fig5_design(periods))
+        src = geometry.source
+        # the same cavity upside down radiates the same density into its top side
+        flipped = EmissionGeometry(
+            geometry.lower, geometry.upper,
+            DipoleSource(LAM, src.host_index, src.distance_to_lower_stack,
+                         src.distance_to_upper_stack),
         )
-        oracle = oracles.downward_escape_density(theta, *self.cavity(periods), LAM)
-        assert np.allclose(oracle, program, rtol=3e-4, atol=0.0)
+        for geom, side in ((geometry, "bottom"), (flipped, "top")):
+            program = _CavityFields(geom, None).escape_density(theta, side)
+            assert np.allclose(program, oracle, rtol=1e-9, atol=0.0), side
 
 
 class TestSerialization:
